@@ -23,8 +23,8 @@ import (
 )
 
 // Record is one benchmark measurement. Metrics carries any custom
-// b.ReportMetric columns (e.g. the stress benchmarks' walkops/s and
-// the combining funnel's hitrate) keyed by their unit.
+// b.ReportMetric columns (e.g. the stress benchmarks' walkops/s) keyed
+// by their unit.
 type Record struct {
 	Name        string             `json:"name"`
 	Iterations  int64              `json:"iterations"`

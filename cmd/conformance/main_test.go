@@ -14,7 +14,7 @@ func TestRunCrossMode(t *testing.T) {
 	if !strings.Contains(out, "cross-engine conformance") {
 		t.Errorf("missing header:\n%s", out)
 	}
-	if got := strings.Count(out, "8 engines agree"); got != 6 { // 3 nets x 2 widths
+	if got := strings.Count(out, "7 engines agree"); got != 6 { // 3 nets x 2 widths
 		t.Errorf("%d agreement lines, want 6:\n%s", got, out)
 	}
 }
@@ -61,7 +61,7 @@ func TestRunAllModeSmall(t *testing.T) {
 		t.Fatal(err)
 	}
 	out := sb.String()
-	if !strings.Contains(out, "8 engines agree") || !strings.Contains(out, "soak clean") {
+	if !strings.Contains(out, "7 engines agree") || !strings.Contains(out, "soak clean") {
 		t.Errorf("all mode output:\n%s", out)
 	}
 }

@@ -6,12 +6,12 @@
 //	netinfo -net bitonic -width 8 -measure
 //
 // -measure runs a small instrumented workload through each engine — cycle
-// simulator, shared-memory goroutines plain, behind the combining funnel,
-// behind the contention-adaptive front-end (free-running, and pinned to
-// its guaranteed-linearizable waiting regime), message-passing channels —
-// and prints the measured Tog, W, and (Tog+W)/Tog timing ratio per engine
+// simulator, shared-memory goroutines plain and behind the
+// contention-adaptive front-end (free-running, and pinned to its
+// guaranteed-linearizable waiting regime), message-passing channels — and
+// prints the measured Tog, W, and (Tog+W)/Tog timing ratio per engine
 // (the paper's Section 5 measure, live rather than offline), plus the
-// funnel's combine hit rate and the adaptive engine's regime tallies.
+// adaptive engine's regime tallies.
 package main
 
 import (
@@ -120,7 +120,7 @@ func run(args []string, w io.Writer) error {
 // measureEngines runs the same modest workload (8 processors, 2000
 // operations, F=25% delayed) through the engines with live metrics and
 // prints one measured-ratio row per engine. The sim row injects W=1000
-// cycles, the shm rows (plain and combining-funnel) W=20µs; msgnet has no
+// cycles, the shm rows W=20µs; msgnet has no
 // delay-injection hook, so its W is 0 and the ratio degenerates to 1 —
 // its Tog column is still the real measured hop wait.
 func measureEngines(w io.Writer, net workload.NetKind, width int) error {
@@ -152,20 +152,6 @@ func measureEngines(w io.Writer, net workload.NetKind, width int) error {
 	}
 	fmt.Fprintf(w, "%-8s %-7s %14.1f %14.0f %14.3f\n", "shm", "ns", shmRes.Tog, shmCfg.EffWait(), shmRes.AvgRatio)
 
-	combCfg := shmCfg
-	combCfg.Net, err = shm.Compile(g, shm.Options{Diffract: net == workload.DTree})
-	if err != nil {
-		return err
-	}
-	combCfg.Combine = true
-	combCfg.Metrics = obs.NewRegistry()
-	combRes, err := shm.Stress(combCfg)
-	if err != nil {
-		return err
-	}
-	fmt.Fprintf(w, "%-8s %-7s %14.1f %14.0f %14.3f   combine hit rate %.2f\n",
-		"shm+cmb", "ns", combRes.Tog, combCfg.EffWait(), combRes.AvgRatio, combRes.Combine.HitRate())
-
 	adNet, err := shm.Compile(g, shm.Options{Diffract: net == workload.DTree})
 	if err != nil {
 		return err
@@ -191,10 +177,10 @@ func measureEngines(w io.Writer, net workload.NetKind, width int) error {
 	if r := front.Ratio(); r != nil {
 		adTog = r.Tog()
 	}
-	fmt.Fprintf(w, "%-8s %-7s %14.1f %14.0f %14.3f   modes d/c/n/l %d/%d/%d/%d, %d switches\n",
+	fmt.Fprintf(w, "%-8s %-7s %14.1f %14.0f %14.3f   modes d/n/l %d/%d/%d, %d switches\n",
 		"adaptive", "ns", adTog, adCfg.EffWait(), ast.Ratio,
-		ast.PerMode[adaptive.ModeDirect], ast.PerMode[adaptive.ModeCombine],
-		ast.PerMode[adaptive.ModeNetwork], ast.PerMode[adaptive.ModeLinear], ast.Switches)
+		ast.PerMode[adaptive.ModeDirect], ast.PerMode[adaptive.ModeNetwork],
+		ast.PerMode[adaptive.ModeLinear], ast.Switches)
 
 	// The adaptive+wait row pins the front-end to the guaranteed-
 	// linearizable waiting regime (ModeLinear) via a LinearBelow band no
@@ -223,10 +209,10 @@ func measureEngines(w io.Writer, net workload.NetKind, width int) error {
 	if r := linFront.Ratio(); r != nil {
 		linTog = r.Tog()
 	}
-	fmt.Fprintf(w, "%-8s %-7s %14.1f %14.0f %14.3f   modes d/c/n/l %d/%d/%d/%d, %d switches\n",
+	fmt.Fprintf(w, "%-8s %-7s %14.1f %14.0f %14.3f   modes d/n/l %d/%d/%d, %d switches\n",
 		"adp+wait", "ns", linTog, linCfg.EffWait(), lst.Ratio,
-		lst.PerMode[adaptive.ModeDirect], lst.PerMode[adaptive.ModeCombine],
-		lst.PerMode[adaptive.ModeNetwork], lst.PerMode[adaptive.ModeLinear], lst.Switches)
+		lst.PerMode[adaptive.ModeDirect], lst.PerMode[adaptive.ModeNetwork],
+		lst.PerMode[adaptive.ModeLinear], lst.Switches)
 
 	reg := obs.NewRegistry()
 	mn, err := msgnet.StartOpts(g, msgnet.Options{Buffer: 1, Metrics: reg})

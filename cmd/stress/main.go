@@ -7,7 +7,6 @@
 //	stress -net dtree -width 32 -workers 64 -ops 100000 -frac 0.25 -delay 200us
 //	stress -compare -workers 64 -ops 200000
 //	stress -trace run.json -metrics - -pprof :6060
-//	stress -combine -workers 256 -width 8 -frac 1 -delay 20us -burn
 //	stress -engine adaptive -workers 256 -width 8 -linearizable
 //	stress -engine msgnet -faults 0.05 -fault-seed 7 -delay 10us
 //
@@ -19,15 +18,9 @@
 // per-hop link latency (the paper's W on the wire) and the run report
 // gains the fault/retry tallies next to the usual (Tog+W)/Tog measure.
 //
-// With -combine, tokens rendezvous in an elimination/combining funnel in
-// front of the network and a representative walks once for a whole group
-// (internal/shm/combine); the run report then includes the funnel's hit
-// rate and combining degree, and the same counters appear in /metrics.
-//
 // With -engine adaptive the workload runs behind the contention-adaptive
 // front-end (internal/shm/adaptive): tokens route through a direct
-// counter, the combining funnel, or the full network as the measured
-// load changes, and the report gains the regime history (per-mode token
+// counter or the full network as the measured load changes, and the report gains the regime history (per-mode token
 // tallies, switch count, live (Tog+W)/Tog estimate). -linearizable turns
 // on the Corollary 3.12 prefix padding whenever the measured ratio
 // implies k > 2. -linear-below sets the occupancy band under which the
@@ -61,7 +54,6 @@ import (
 	"countnet/internal/obs"
 	"countnet/internal/shm"
 	"countnet/internal/shm/adaptive"
-	funnel "countnet/internal/shm/combine"
 	"countnet/internal/stats"
 	"countnet/internal/workload"
 )
@@ -85,9 +77,6 @@ func run(args []string, w io.Writer) error {
 		random  = fs.Bool("random", false, "all workers pause uniform [0,delay] per node")
 		burn    = fs.Bool("burn", false, "burn delays as busy work occupying the processor (models coherence stalls) instead of a cooperative pause")
 		kind    = fs.String("balancer", "mcs", "toggle implementation: mcs, mutex, atomic")
-		combine = fs.Bool("combine", false, "route tokens through the elimination/combining funnel in front of the network")
-		combW   = fs.Int("combine-width", 0, fmt.Sprintf("combining funnel exchanger slots (0 = default, %d)", funnel.DefaultWidth))
-		combWin = fs.Duration("combine-window", 0, fmt.Sprintf("how long a token camps for partners before traversing alone (0 = default, %v)", funnel.DefaultWindow))
 		compare = fs.Bool("compare", false, "compare network throughput against single-point counters")
 		grid    = fs.Bool("grid", false, "run the wall-clock analogue of the paper's Figure 5/6 grid")
 		engine  = fs.String("engine", "shm", "execution engine: shm, adaptive, or msgnet")
@@ -128,9 +117,6 @@ func run(args []string, w io.Writer) error {
 		if *flight != "" {
 			return fmt.Errorf("-flight requires -engine msgnet")
 		}
-		if *engine == "adaptive" && *combine {
-			return fmt.Errorf("-combine conflicts with -engine adaptive (the adaptive engine owns its own funnel)")
-		}
 	default:
 		return fmt.Errorf("unknown engine %q", *engine)
 	}
@@ -158,7 +144,6 @@ func run(args []string, w io.Writer) error {
 	cfg := shm.StressConfig{
 		Net: n, Workers: *workers, Ops: *ops,
 		DelayedFrac: *frac, Delay: *delay, RandomDelay: *random, BurnDelay: *burn, Seed: *seed,
-		Combine: *combine, CombineWidth: *combW, CombineWindow: *combWin,
 	}
 	var ring *obs.Ring
 	if *trace != "" {
@@ -171,13 +156,11 @@ func run(args []string, w io.Writer) error {
 	var front *adaptive.Counter
 	if *engine == "adaptive" {
 		front, err = adaptive.New(n, adaptive.Options{
-			Kind:          k,
-			Linearizable:  *linear,
-			LinearBelow:   *linBand,
-			CombineWidth:  *combW,
-			CombineWindow: *combWin,
-			EffWait:       cfg.EffWait(),
-			Metrics:       cfg.Metrics,
+			Kind:         k,
+			Linearizable: *linear,
+			LinearBelow:  *linBand,
+			EffWait:      cfg.EffWait(),
+			Metrics:      cfg.Metrics,
 		})
 		if err != nil {
 			return err
@@ -208,18 +191,10 @@ func run(args []string, w io.Writer) error {
 	if cfg.Metrics != nil {
 		fmt.Fprintf(w, "measured Tog %.0fns, (Tog+W)/Tog = %.3f\n", res.Tog, res.AvgRatio)
 	}
-	if c := res.Combine; c != nil {
-		deg := 0.0
-		if c.Pairs > 0 {
-			deg = 1 + float64(c.Partners)/float64(c.Pairs)
-		}
-		fmt.Fprintf(w, "combine: hit rate %.2f, %d combined walks (avg degree %.1f), %d partners, %d timeouts, %d idle, %d races\n",
-			c.HitRate(), c.Pairs, deg, c.Partners, c.Timeouts, c.Idle, c.Races)
-	}
 	if front != nil {
 		st := front.Stats()
-		fmt.Fprintf(w, "adaptive: ended in %s after %d switches, tokens direct/combine/network/linear = %d/%d/%d/%d, (Tog+W)/Tog est %.3f\n",
-			st.Mode, st.Switches, st.PerMode[adaptive.ModeDirect], st.PerMode[adaptive.ModeCombine], st.PerMode[adaptive.ModeNetwork], st.PerMode[adaptive.ModeLinear], st.Ratio)
+		fmt.Fprintf(w, "adaptive: ended in %s after %d switches, tokens direct/network/linear = %d/%d/%d, (Tog+W)/Tog est %.3f\n",
+			st.Mode, st.Switches, st.PerMode[adaptive.ModeDirect], st.PerMode[adaptive.ModeNetwork], st.PerMode[adaptive.ModeLinear], st.Ratio)
 		if st.PadK > 1 {
 			fmt.Fprintf(w, "adaptive: running Corollary 3.12 padded network, k=%d\n", st.PadK)
 		}

@@ -59,8 +59,8 @@ type journey struct {
 
 	queue, counter, link, retry, other int64
 
-	retries, dedups int
-	maxStorm        int // longest run of consecutive retry events
+	retries  int
+	maxStorm int // longest run of consecutive retry events
 }
 
 func run(args []string, w io.Writer) (anomalies int, err error) {
@@ -135,11 +135,16 @@ func run(args []string, w io.Writer) (anomalies int, err error) {
 
 // buildJourneys groups events per token and orders each group causally:
 // by span id when stamped (ids increase along causal edges), by timestamp
-// for unstamped traces.
+// for unstamped traces. Events a node recorded on its own behalf
+// (obs.NodeProc, such as dedups) belong to no journey; reportDedups
+// covers them per node.
 func buildJourneys(events []obs.Event) []*journey {
 	byKey := make(map[journeyKey]*journey)
 	var order []journeyKey
 	for _, ev := range events {
+		if ev.P == obs.NodeProc {
+			continue
+		}
 		k := journeyKey{p: ev.P, tok: ev.Tok}
 		j := byKey[k]
 		if j == nil {
@@ -203,8 +208,6 @@ func analyzeJourney(j *journey) {
 			j.retry += ev.Dur
 			pending += ev.Dur
 			j.retries++
-		case obs.KindDedup:
-			j.dedups++
 		case obs.KindExit:
 			j.total = ev.Dur
 		}

@@ -19,7 +19,7 @@
 //     (`clock := obs.NewClock()`), which never return nil;
 //   - a field in the receiver chain carries a field-declaration
 //     `//countnet:allow obsvet -- <reason>` stating the field is never
-//     nil by construction (the combine.Funnel pattern, where New
+//     nil by construction (the adaptive.Counter pattern, where New
 //     substitutes no-op instances when metrics are disabled).
 //
 // The obs package itself is exempt: implementations cannot nil-guard

@@ -1,8 +1,7 @@
 // Package conformance is the cross-engine differential testing harness: it
 // runs the same workloads through every execution engine in the repository
 // — the quiescent topo executor, the cycle simulator (internal/sim), the
-// real-goroutine runtime (internal/shm) plain, behind the
-// elimination/combining funnel (internal/shm/combine), and behind the
+// real-goroutine runtime (internal/shm) plain and behind the
 // contention-adaptive front-end (internal/shm/adaptive), the
 // message-passing runtime (internal/msgnet) both fault-free and under
 // deterministic fault injection (internal/faults), and the timed schedule
@@ -259,36 +258,11 @@ func RunSHM(spec workload.Spec) (*Execution, error) {
 	return &Execution{Engine: "shm", Ops: res.Ops}, nil
 }
 
-// RunSHMCombined executes the spec on the shared-memory runtime with the
-// elimination/combining funnel enabled: tokens rendezvous in front of
-// the network and combined walks carry several tokens at once. The
-// funnel must be invisible in every quiescent invariant — identical
-// value multiset, tallies, and analyzer agreement — which is exactly
-// what running it as a differential engine asserts.
-func RunSHMCombined(spec workload.Spec) (*Execution, error) {
-	real := workload.RealSpec{
-		Net:         spec.Net,
-		Width:       spec.Width,
-		Workers:     spec.Procs,
-		Ops:         spec.Ops,
-		Frac:        spec.Frac,
-		Delay:       time.Duration(spec.Wait) * time.Nanosecond,
-		RandomDelay: spec.RandomWait,
-		Seed:        spec.Seed,
-		Combine:     true,
-	}
-	res, err := real.Run()
-	if err != nil {
-		return nil, fmt.Errorf("shm-combine: %w", err)
-	}
-	return &Execution{Engine: "shm-combine", Ops: res.Ops}, nil
-}
-
 // RunSHMAdaptive executes the spec on the shared-memory runtime behind
 // the contention-adaptive front-end (internal/shm/adaptive), with the
 // Linearizable option on so the Corollary 3.12 padding path is exercised
-// whenever the measured ratio implies k > 2. Tokens cross direct-counter,
-// funnel, and network regimes mid-run; the drain-then-switch epochs must
+// whenever the measured ratio implies k > 2. Tokens cross direct-counter
+// and network regimes mid-run; the drain-then-switch epochs must
 // make every transition invisible in the quiescent invariants, which is
 // what running it as a differential engine asserts.
 func RunSHMAdaptive(spec workload.Spec) (*Execution, error) {
@@ -426,9 +400,8 @@ func CheckPadded(g *topo.Graph, c *schedule.Concrete) error {
 	return nil
 }
 
-// CrossCheck runs the spec through all eight execution engines —
-// quiescent topo, sim, shm, shm with the combining funnel, shm behind the
-// contention-adaptive front-end, the same front-end pinned to its
+// CrossCheck runs the spec through all seven execution engines —
+// quiescent topo, sim, shm, shm behind the contention-adaptive front-end, the same front-end pinned to its
 // guaranteed-linearizable waiting regime, msgnet, and msgnet under the
 // spec-derived fault plan — and verifies the universal invariants on
 // each; any breach is an engine disagreement. The shm-adaptive-linear
@@ -454,7 +427,7 @@ func CrossCheck(spec workload.Spec) error {
 	if err != nil {
 		return replayable(spec, err)
 	}
-	for _, run := range []func(workload.Spec) (*Execution, error){RunSim, RunSHM, RunSHMCombined, RunSHMAdaptive, RunSHMAdaptiveLinear, RunMsgnet, RunMsgnetFaulty} {
+	for _, run := range []func(workload.Spec) (*Execution, error){RunSim, RunSHM, RunSHMAdaptive, RunSHMAdaptiveLinear, RunMsgnet, RunMsgnetFaulty} {
 		exec, err := run(spec)
 		if err != nil {
 			return replayable(spec, err)

@@ -278,7 +278,11 @@ func (n *Network) counter(id topo.NodeID) {
 // recordDedup traces a suppressed duplicate arrival at node id: the
 // conflict is part of the token's causal story (a dedup racing the
 // original is how a faulty network shows up in a witness trace), so it
-// gets its own span parented on the duplicate's last hop.
+// gets its own span parented on the duplicate's last hop. The event is
+// recorded under obs.NodeProc, not the token's proc: the live copy of the
+// token is still being recorded downstream under its proc, concurrently
+// with this node, and a processor identity may have only one writer at a
+// time.
 func (n *Network) recordDedup(id topo.NodeID, t token) {
 	o := n.obs
 	if o == nil || o.tr == nil {
@@ -286,7 +290,7 @@ func (n *Network) recordDedup(id topo.NodeID, t token) {
 	}
 	o.spans.Witness(t.span)
 	o.tr.Record(obs.Event{T: o.clock(), Kind: obs.KindDedup,
-		P: t.proc, Tok: t.tok, Node: int32(id), Value: -1,
+		P: obs.NodeProc, Tok: t.tok, Node: int32(id), Value: -1,
 		Span: o.spans.Tick(), Parent: t.span})
 }
 

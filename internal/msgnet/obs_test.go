@@ -227,6 +227,9 @@ func TestCausalSpansUnderFaults(t *testing.T) {
 		}
 		spans[ev.Span] = ev
 		kinds[ev.Kind]++
+		if ev.Kind == obs.KindDedup && ev.P != obs.NodeProc {
+			t.Fatalf("dedup recorded under token proc %d, want obs.NodeProc: %+v", ev.P, ev)
+		}
 	}
 	if kinds[obs.KindRetry] == 0 || kinds[obs.KindDedup] == 0 {
 		t.Fatalf("faulty events not traced: %v (engine counted retries=%d dedups=%d)",

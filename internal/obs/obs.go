@@ -46,7 +46,8 @@ const (
 	// these events).
 	KindRetry
 	// KindDedup marks a receiver suppressing a faulty duplicate delivery;
-	// Node is the receiver. The duplicate's causal chain ends here.
+	// Node is the receiver and P is NodeProc (Tok still names the token).
+	// The duplicate's causal chain ends here.
 	KindDedup
 )
 

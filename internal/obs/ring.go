@@ -2,17 +2,33 @@ package obs
 
 import (
 	"sort"
+	"sync"
 	"sync/atomic"
 )
+
+// NodeProc is the processor identity of an event a network node records
+// on its own behalf rather than as a hop of a token's journey — a
+// suppressed duplicate delivery, say. No token runs under it, so such an
+// event can never tear a token's shard; Ring files it, like any negative
+// identity, in a shared lock-guarded shard.
+const NodeProc int32 = -1
 
 // ringShard is one processor's private event buffer. Only the owning
 // processor writes buf and n; the count is published atomically so Len can
 // be sampled live, but slot contents are only safe to read once the run has
 // quiesced (e.g. after the workers' WaitGroup).
 type ringShard struct {
-	buf []Event
-	n   atomic.Int64 // total events recorded (monotone; may exceed len(buf))
-	_   [40]byte     // keep shards off each other's cache lines
+	buf   []Event
+	n     atomic.Int64 // total events recorded (monotone; may exceed len(buf))
+	owner shardOwner   // race builds: panics on a second concurrent writer
+	_     [40]byte     // keep shards off each other's cache lines
+}
+
+// put appends ev, overwriting the oldest event once the shard is full.
+func (s *ringShard) put(ev Event) {
+	n := s.n.Load()
+	s.buf[n%int64(len(s.buf))] = ev
+	s.n.Store(n + 1)
 }
 
 // Ring is a lock-free per-processor ring-buffer recorder: each processor id
@@ -22,11 +38,14 @@ type ringShard struct {
 // overwritten (the newest window survives, which is the part a violation
 // witness needs).
 type Ring struct {
+	// shards holds one shard per processor id, then the node shard that
+	// takes every event with a negative P.
 	shards []ringShard
+	nodeMu sync.Mutex // serializes the node shard's writers
 }
 
 // NewRing returns a recorder with one shard per processor id in [0, procs)
-// and capacity perProc events per shard.
+// plus the node shard, and capacity perProc events per shard.
 func NewRing(procs, perProc int) *Ring {
 	if procs < 1 {
 		procs = 1
@@ -34,25 +53,29 @@ func NewRing(procs, perProc int) *Ring {
 	if perProc < 1 {
 		perProc = 1
 	}
-	r := &Ring{shards: make([]ringShard, procs)}
+	r := &Ring{shards: make([]ringShard, procs+1)}
 	for i := range r.shards {
 		r.shards[i].buf = make([]Event, perProc)
 	}
 	return r
 }
 
-// Record implements Tracer. Events with out-of-range P are folded onto a
-// shard by modulus; correctness then relies on the caller's single-writer-
-// per-processor contract.
+// Record implements Tracer. Each processor id must have one writer at a
+// time: events with P >= procs fold onto a shard by modulus, and then
+// correctness relies on that single-writer contract. Events with a
+// negative P (NodeProc) go to the node shard, whose writers take a lock.
 func (r *Ring) Record(ev Event) {
-	p := int(ev.P)
-	if p < 0 {
-		p = -p
+	procs := len(r.shards) - 1
+	if ev.P < 0 {
+		r.nodeMu.Lock()
+		r.shards[procs].put(ev)
+		r.nodeMu.Unlock()
+		return
 	}
-	s := &r.shards[p%len(r.shards)]
-	n := s.n.Load()
-	s.buf[n%int64(len(s.buf))] = ev
-	s.n.Store(n + 1)
+	s := &r.shards[int(ev.P)%procs]
+	s.owner.acquire()
+	s.put(ev)
+	s.owner.release()
 }
 
 // Len returns the number of events currently retained across all shards.

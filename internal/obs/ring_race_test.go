@@ -75,19 +75,45 @@ func TestRingOverwrittenUnderContention(t *testing.T) {
 	}
 }
 
-// TestRingFoldedShardsAccounting pins the out-of-range-P folding: tokens
-// recorded with negative or oversized processor ids land on a shard by
-// modulus and are still counted by Len/Overwritten.
+// TestRingFoldedShardsAccounting pins the out-of-range-P routing:
+// events recorded with negative processor ids land on the node shard,
+// oversized ones fold onto a processor shard by modulus, and all are
+// still counted by Len/Overwritten.
 func TestRingFoldedShardsAccounting(t *testing.T) {
 	r := NewRing(2, 4)
 	for i := 0; i < 6; i++ {
-		r.Record(Event{T: int64(i), P: -7}) // folds onto shard 1
+		r.Record(Event{T: int64(i), P: -7}) // the node shard
 	}
 	r.Record(Event{T: 100, P: 4}) // folds onto shard 0
 	if got := r.Len(); got != 5 {
-		t.Fatalf("Len = %d, want 5 (4 retained on shard 1, 1 on shard 0)", got)
+		t.Fatalf("Len = %d, want 5 (4 retained on the node shard, 1 on shard 0)", got)
 	}
 	if got := r.Overwritten(); got != 2 {
 		t.Fatalf("Overwritten = %d, want 2", got)
+	}
+}
+
+// TestRingNodeShardConcurrentWriters checks the node shard's contract:
+// any number of goroutines may record under NodeProc at once (this test
+// is part of the CI race matrix), and every event is counted.
+func TestRingNodeShardConcurrentWriters(t *testing.T) {
+	const writers, events = 8, 200
+	r := NewRing(2, writers*events)
+	var wg sync.WaitGroup
+	for w := 0; w < writers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; i < events; i++ {
+				r.Record(Event{T: int64(i), P: NodeProc, Tok: int32(w), Kind: KindDedup})
+			}
+		}(w)
+	}
+	wg.Wait()
+	if got := r.Len(); got != writers*events {
+		t.Fatalf("Len = %d, want %d", got, writers*events)
+	}
+	if got := len(r.Events()); got != writers*events {
+		t.Fatalf("Events returned %d, want %d", got, writers*events)
 	}
 }

@@ -1,14 +1,13 @@
 // Package adaptive is the contention-adaptive counter front-end: one
 // shared counter whose internal structure follows the load it actually
-// sees. At low contention tokens take a direct padded fetch-and-add
-// counter (the fastest structure when nobody collides); at medium
-// contention they rendezvous in the elimination/combining funnel
-// (internal/shm/combine) in front of the counting network; at high
-// contention they traverse the full-width balancing network, whose whole
-// point is that no single memory word is hot. The regime choice is driven
-// by a lightweight online estimate of the paper's Section 5 measure
-// (Tog+W)/Tog — the empirical c2/c1 — together with occupancy and
-// CAS-failure signals, with hysteresis so the mode does not flap.
+// sees. At low and medium contention tokens take a direct padded
+// fetch-and-add counter (the fastest structure until collisions pile up);
+// at high contention they traverse the full-width balancing network,
+// whose whole point is that no single memory word is hot. The regime
+// choice is driven by the sampled in-flight occupancy, with hysteresis so
+// the mode does not flap, and a lightweight online estimate of the
+// paper's Section 5 measure (Tog+W)/Tog — the empirical c2/c1 — decides
+// the Corollary 3.12 padding below.
 //
 // Mode switches preserve exact counting. Every token enters through a
 // seqlock-style epoch gate: a switch closes the gate (odd value), waits
@@ -21,19 +20,19 @@
 // so at every quiescent point the values handed out since creation form
 // the gapless permutation 0..n-1 and therefore satisfy the step property
 // on any output partition — the invariant the conformance harness checks
-// differentially against the seven other engines. Because a switch only
+// differentially against the other engines. Because a switch only
 // happens through a drained boundary, no interleaving can observe a
 // half-switched structure.
 //
-// A fourth regime, ModeLinear, buys guaranteed linearizability the way
+// A third regime, ModeLinear, buys guaranteed linearizability the way
 // the paper says it must be bought — by waiting: tokens traverse the
 // network and then hold their responses until every smaller value in the
-// epoch has been returned (a per-epoch turn counter seeded from the
-// epoch's backend start). Options.LinearBelow makes the regime reachable
-// from the controller: whenever the ladder picks a network-family regime
-// at occupancy below the band, the engine serializes responses instead
-// of running outside the guarantee; above the band it reverts to the
-// practically-linearizable plain network.
+// epoch has been returned (one shm.Filter per linear epoch, releasing
+// values relative to the epoch's backend start). Options.LinearBelow
+// makes the regime reachable from the controller: whenever the ladder
+// picks the network at occupancy below the band, the engine serializes
+// responses instead of running outside the guarantee; above the band it
+// reverts to the practically-linearizable plain network.
 //
 // The Linearizable option implements the honest version of the paper's
 // Corollary 3.12 trade: when the measured (Tog+W)/Tog ratio implies
@@ -55,24 +54,26 @@ import (
 	"countnet/internal/obs"
 	"countnet/internal/shm"
 	"countnet/internal/shm/backoff"
-	"countnet/internal/shm/combine"
 	"countnet/internal/topo"
 )
 
-// Mode names one of the four counting structures.
+// Mode names one of the counting structures.
 type Mode int32
 
-// The contention regimes. The first three are the escalation ladder, in
-// order; ModeLinear sits beside the ladder as the guaranteed-ordering
-// regime the controller enters when the user asked for linearizability
-// (Options.LinearBelow) and the occupancy makes waiting affordable.
+// The contention regimes. ModeDirect and ModeNetwork are the escalation
+// ladder, in order; ModeLinear sits beside the ladder as the
+// guaranteed-ordering regime the controller enters when the user asked
+// for linearizability (Options.LinearBelow) and the occupancy makes
+// waiting affordable.
 const (
 	// ModeDirect serves tokens from a single padded fetch-and-add
-	// counter: optimal when tokens rarely collide.
+	// counter: optimal until collisions pile up.
 	ModeDirect Mode = iota
-	// ModeCombine routes tokens through the elimination/combining funnel
-	// in front of the network: medium contention, where pairing pays for
-	// its rendezvous.
+	// ModeCombine is retired: the elimination/combining funnel it named
+	// lost to ModeDirect at every measured worker count and was removed.
+	// No epoch runs in it, SwitchTo rejects it, and Stats.PerMode at its
+	// index is always 0. The value stays reserved so the other modes'
+	// values (and PerMode indices) do not shift.
 	ModeCombine
 	// ModeNetwork sends every token through the full-width balancing
 	// network: high contention, where only width keeps any one word cool.
@@ -108,15 +109,9 @@ const (
 	// DefaultHold is how many consecutive windows must agree on a regime
 	// change before the switch happens (the hysteresis depth).
 	DefaultHold = 2
-	// DefaultDirectMax is the mean occupancy above which the direct
-	// counter escalates to the combining funnel.
-	DefaultDirectMax = 6
-	// DefaultCombineMax is the mean occupancy above which the funnel
+	// DefaultDirectMax is the mean occupancy at which the direct counter
 	// escalates to the full network.
-	DefaultCombineMax = 48
-	// DefaultRaceMax is the funnel CAS-failure-per-token rate above which
-	// combine escalates to the network regardless of occupancy.
-	DefaultRaceMax = 2.0
+	DefaultDirectMax = 48
 	// DefaultMaxPadK caps the Corollary 3.12 padding factor so a wildly
 	// noisy ratio estimate cannot compile an unboundedly deep prefix.
 	DefaultMaxPadK = 6
@@ -141,26 +136,20 @@ type Options struct {
 	Window int
 	// Hold is the hysteresis depth in windows (default DefaultHold).
 	Hold int
-	// DirectMax and CombineMax are the escalation occupancy thresholds
-	// (defaults DefaultDirectMax, DefaultCombineMax); de-escalation uses
-	// half of each, so the two directions never share an edge. An
-	// explicitly set CombineMax must exceed the (possibly defaulted)
-	// DirectMax or New rejects the pair; only the zero value takes the
-	// silent default.
-	DirectMax  int
-	CombineMax int
-	// RaceMax is the combine-mode CAS-failure-per-token escalation
-	// threshold (default DefaultRaceMax).
-	RaceMax float64
+	// DirectMax is the mean occupancy at which the direct counter
+	// escalates to the network (default DefaultDirectMax); the network
+	// de-escalates only below half of it, so the two directions never
+	// share an edge.
+	DirectMax int
 	// Linearizable routes network-mode traffic through the Corollary 3.12
 	// padded network whenever the measured (Tog+W)/Tog ratio implies
 	// k > 2, instead of silently degrading.
 	Linearizable bool
 	// LinearBelow, when positive, asks for guaranteed ordering: whenever
-	// the ladder would pick a network-family regime (combine or network)
-	// and the mean occupancy sits below this band, the controller enters
-	// ModeLinear instead — the network plus the waiting filter, whose
-	// serialization cost is affordable exactly when few tokens overlap.
+	// the ladder would pick the network and the mean occupancy sits below
+	// this band, the controller enters ModeLinear instead — the network
+	// plus the waiting filter, whose serialization cost is affordable
+	// exactly when few tokens overlap.
 	// Above the band the engine reverts to the practically-linearizable
 	// plain network; direct-counter epochs are untouched (a fetch-and-add
 	// is already linearizable). A counter built with LinearBelow > 0
@@ -168,10 +157,6 @@ type Options struct {
 	LinearBelow int
 	// MaxPadK caps the padding factor k (default DefaultMaxPadK).
 	MaxPadK int
-	// CombineWidth and CombineWindow configure the funnel (zero values
-	// mean the combine package defaults).
-	CombineWidth  int
-	CombineWindow time.Duration
 	// EffWait is the effective injected per-node delay in nanoseconds —
 	// the W of the (Tog+W)/Tog estimate (0 when the workload injects no
 	// delays).
@@ -206,7 +191,7 @@ type Stats struct {
 	// Switches counts completed drain-then-switch transitions.
 	Switches int64
 	// PerMode tallies tokens by the mode that served them (closed epochs
-	// plus the live one).
+	// plus the live one); the retired ModeCombine's entry is always 0.
 	PerMode [4]int64
 	// Ratio is the live (Tog+W)/Tog estimate (+Inf before any sample).
 	Ratio float64
@@ -230,6 +215,9 @@ type epoch struct {
 	strt int64 // backend cumulative issue count at epoch start
 	net  *shm.Network
 	padK int // Corollary 3.12 factor of net (1 = unpadded)
+	// lin is a ModeLinear epoch's waiting filter over net, fresh for the
+	// epoch: it releases raw values relative to strt. nil in other modes.
+	lin *shm.Filter
 }
 
 // Counter is the adaptive front-end. Safe for concurrent use by any
@@ -241,13 +229,7 @@ type Counter struct {
 	inflight [stripes]pad64        //countnet:gatecensus
 
 	direct pad64 // the ModeDirect backend's cumulative sequence
-	// turn is the ModeLinear release counter: the next raw backend value
-	// allowed to return. Reseeded from the epoch's backend start at every
-	// switch into a linear epoch, which happens at a drained boundary, so
-	// token-side loads never race the reseed.
-	turn   pad64
 	net    *shm.Network
-	funnel *combine.Funnel
 	opts   Options
 
 	// Sampled-token accumulators feeding the controller; reset each
@@ -257,11 +239,9 @@ type Counter struct {
 	ratio  *obs.Ratio //countnet:allow obsvet -- never nil; New substitutes an unregistered estimator
 
 	// Controller state, all under ctlMu.
-	ctlMu     sync.Mutex
-	want      Mode // regime the last disagreeing window voted for
-	agree     int  // consecutive windows voting for want
-	lastRaces int64
-	lastToks  int64
+	ctlMu sync.Mutex
+	want  Mode // regime the last disagreeing window voted for
+	agree int  // consecutive windows voting for want
 
 	// Switch state under switchMu: padded-network cache and the epoch
 	// log.
@@ -276,8 +256,8 @@ type Counter struct {
 }
 
 // New returns an adaptive counter over the compiled network. The network
-// is the high-contention backend and the funnel's downstream; the direct
-// counter and any Corollary 3.12 padded variants are created internally.
+// is the high-contention backend; the direct counter and any Corollary
+// 3.12 padded variants are created internally.
 // The counter starts in ModeDirect (an empty counter has no contention).
 func New(n *shm.Network, opts Options) (*Counter, error) {
 	if n == nil {
@@ -295,20 +275,6 @@ func New(n *shm.Network, opts Options) (*Counter, error) {
 	if opts.DirectMax <= 0 {
 		opts.DirectMax = DefaultDirectMax
 	}
-	if opts.CombineMax == 0 {
-		opts.CombineMax = DefaultCombineMax
-		if opts.CombineMax <= opts.DirectMax {
-			opts.CombineMax = 2 * opts.DirectMax
-		}
-	} else if opts.CombineMax <= opts.DirectMax {
-		// An explicit threshold pair that cannot order the ladder is a
-		// configuration bug; rewriting it silently would hide the mistake.
-		return nil, fmt.Errorf("adaptive: CombineMax (%d) must exceed DirectMax (%d)",
-			opts.CombineMax, opts.DirectMax)
-	}
-	if opts.RaceMax <= 0 {
-		opts.RaceMax = DefaultRaceMax
-	}
 	if opts.MaxPadK < 2 {
 		opts.MaxPadK = DefaultMaxPadK
 	}
@@ -319,11 +285,6 @@ func New(n *shm.Network, opts Options) (*Counter, error) {
 		net:    n,
 		opts:   opts,
 		padded: map[int]paddedNet{1: {net: n, padK: 1}},
-		funnel: combine.New(combine.Options{
-			Width:   opts.CombineWidth,
-			Window:  opts.CombineWindow,
-			Metrics: opts.Metrics,
-		}),
 	}
 	if reg := opts.Metrics; reg != nil {
 		c.ratio = reg.Ratio("shm_adaptive_c2c1", opts.EffWait)
@@ -344,9 +305,9 @@ func New(n *shm.Network, opts Options) (*Counter, error) {
 	if opts.LinearBelow > 0 {
 		// The user asked for guaranteed ordering: start in ModeLinear so
 		// the guarantee holds from the first token (an empty counter is
-		// trivially below the band). The backend starts at zero, so the
-		// turn counter's zero value is already correctly seeded.
-		first = &epoch{mode: ModeLinear, net: n, padK: 1}
+		// trivially below the band). The backend starts at zero, which is
+		// also where a fresh filter's first release is.
+		first = &epoch{mode: ModeLinear, net: n, padK: 1, lin: shm.NewFilter(n)}
 	}
 	//countnet:allow gatevet -- the constructor publishes the first epoch before any reader exists, so no gate is needed
 	c.cur.Store(first)
@@ -437,38 +398,21 @@ func (c *Counter) dispatch(ep *epoch, input int, proc, tok int32, afterNode func
 			afterNode(-1)
 		}
 		return v
-	case ModeCombine:
-		return c.funnel.Do(1, func(demand int) []int64 {
-			return ep.net.TraverseBatch(input, demand, proc, tok, afterNode)
-		})[0]
 	case ModeLinear:
+		// Hold the response until every smaller value of the epoch has
+		// been released. The wait runs before Next's census decrement, so
+		// a waiting token still counts as in-flight and a concurrent drain
+		// waits for it. The drain always terminates: with the gate closed
+		// the in-flight set is fixed, each of its tokens obtains a
+		// distinct value from the contiguous backend sequence, and the
+		// holder of the smallest unreleased value is never blocked — so
+		// the chain releases in value order until the census reaches zero.
 		v := ep.net.TraverseObs(input, proc, tok, afterNode)
-		c.waitTurn(v)
+		ep.lin.Release(v - ep.strt)
 		return v
 	default:
 		return ep.net.TraverseObs(input, proc, tok, afterNode)
 	}
-}
-
-// waitTurn holds a ModeLinear response until every smaller raw value in
-// the epoch has been released, then releases v itself. The wait runs
-// inside dispatch — before Next's census decrement — so a waiting token
-// still counts as in-flight and a concurrent drain waits for it. The
-// drain always terminates: with the gate closed the in-flight set is
-// fixed, each of its tokens obtains a distinct value from the contiguous
-// backend sequence, and the holder of the smallest unreleased value is
-// never blocked — so the chain releases in value order until the census
-// reaches zero.
-//
-//countnet:hotpath
-func (c *Counter) waitTurn(v int64) {
-	if c.turn.v.Load() != v {
-		var bo backoff.Backoff
-		for c.turn.v.Load() != v {
-			bo.Wait()
-		}
-	}
-	c.turn.v.Store(v + 1)
 }
 
 // sample folds one timed token into the controller's accumulators: the
@@ -487,14 +431,12 @@ func (c *Counter) waitTurn(v int64) {
 // padK treats as no data). The floor can only raise the ratio, i.e. pad
 // earlier than strictly necessary, never later.
 //
-// Combine-mode latencies are dominated by the funnel rendezvous window,
-// not balancer waits — a waiting token never visits a balancer at all —
-// so they are excluded: folding them in would inflate Tog, deflate the
-// ratio, and delay padding the measurement does not justify. Linear-mode
-// latencies are excluded for the same reason: they are dominated by the
-// turn wait, which is serialization cost, not toggle wait.
+// Linear-mode latencies are excluded: they are dominated by the turn
+// wait, which is serialization cost, not toggle wait — folding them in
+// would inflate Tog, deflate the ratio, and delay padding the measurement
+// does not justify.
 func (c *Counter) sample(ep *epoch, d time.Duration) {
-	if ep.mode != ModeCombine && ep.mode != ModeLinear {
+	if ep.mode != ModeLinear {
 		nodes := int64(1)
 		if ep.mode != ModeDirect {
 			nodes = int64(ep.net.Graph().Depth()) + 1
@@ -585,7 +527,11 @@ func (c *Counter) Epochs() []EpochStat {
 // makes it double as a drain point for tests and shutdown accounting).
 // It must not be called from inside a Next invocation on the same
 // goroutine — the drain would wait for the caller's own census entry.
+// The retired ModeCombine is rejected.
 func (c *Counter) SwitchTo(m Mode) error {
+	if m == ModeCombine {
+		return fmt.Errorf("adaptive: mode %s is retired", m)
+	}
 	if m < ModeDirect || m > ModeLinear {
 		return fmt.Errorf("adaptive: unknown mode %d", int32(m))
 	}
@@ -626,11 +572,9 @@ func (c *Counter) switchLocked(m Mode) {
 		next.strt = c.direct.v.Load()
 	}
 	if m == ModeLinear {
-		// Seed the per-epoch turn counter: the first raw value the new
-		// epoch's backend will issue is also the first allowed to return.
-		// The gate is closed and the census drained, so no token-side
-		// waitTurn can race this store.
-		c.turn.v.Store(next.strt)
+		// A fresh filter per linear epoch: its first release, 0, is the
+		// first raw value the epoch's backend will issue, next.strt.
+		next.lin = shm.NewFilter(next.net)
 	}
 	c.cur.Store(next)
 	if old.mode != m {
@@ -661,8 +605,8 @@ var compilePadded = func(g *topo.Graph, opts shm.Options) (*shm.Network, error) 
 // factor that network really has: the plain one, or — for a ModeNetwork
 // epoch under the Linearizable option when the measured ratio implies
 // k > 2 — the Corollary 3.12 padded variant for the smallest k covering
-// the estimate, compiled once and cached. Combine and linear epochs
-// always get the plain network: padding applies to network-mode traffic
+// the estimate, compiled once and cached. Linear epochs always get the
+// plain network: padding applies to network-mode traffic
 // only (matching the Options.Linearizable contract and control()'s repad
 // check, which re-rolls only ModeNetwork epochs when the estimate
 // moves), and a linear epoch's waiting already guarantees what padding

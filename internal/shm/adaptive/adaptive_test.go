@@ -110,7 +110,6 @@ func checkConservation(t *testing.T, c *adaptive.Counter, total int64) {
 func TestModeString(t *testing.T) {
 	for m, want := range map[adaptive.Mode]string{
 		adaptive.ModeDirect:  "direct",
-		adaptive.ModeCombine: "combine",
 		adaptive.ModeNetwork: "network",
 		adaptive.ModeLinear:  "linear",
 		adaptive.Mode(9):     "mode(9)",
@@ -132,21 +131,40 @@ func TestNewValidation(t *testing.T) {
 	if c.Mode() != adaptive.ModeDirect {
 		t.Errorf("fresh counter in mode %v, want direct", c.Mode())
 	}
-	n, err := shm.Compile(buildGraph(t, 2), shm.Options{Kind: shm.KindMCS})
-	if err != nil {
-		t.Fatal(err)
+}
+
+// TestCombineRetired pins the retired ModeCombine: it keeps its value
+// and name, SwitchTo rejects it without touching the live epoch, and no
+// token is ever tallied under it.
+func TestCombineRetired(t *testing.T) {
+	if adaptive.ModeCombine != 1 || adaptive.ModeLinear != 3 {
+		t.Fatalf("mode values shifted: combine=%d linear=%d", adaptive.ModeCombine, adaptive.ModeLinear)
 	}
-	// An explicitly set CombineMax that cannot order the escalation
-	// ladder is rejected, not silently rewritten.
-	if _, err := adaptive.New(n, adaptive.Options{DirectMax: 8, CombineMax: 8}); err == nil {
-		t.Error("CombineMax == DirectMax accepted")
+	if got := adaptive.ModeCombine.String(); got != "combine" {
+		t.Errorf("ModeCombine.String() = %q, want combine", got)
 	}
-	if _, err := adaptive.New(n, adaptive.Options{DirectMax: 8, CombineMax: 4}); err == nil {
-		t.Error("CombineMax < DirectMax accepted")
+	c := newCounter(t, 4, adaptive.Options{})
+	var tok int32
+	for _, m := range []adaptive.Mode{adaptive.ModeNetwork, adaptive.ModeCombine, adaptive.ModeLinear, adaptive.ModeCombine} {
+		before := c.Epoch()
+		err := c.SwitchTo(m)
+		if m == adaptive.ModeCombine {
+			if err == nil {
+				t.Fatal("SwitchTo(ModeCombine) accepted")
+			}
+			if c.Epoch() != before {
+				t.Fatalf("rejected switch rolled the epoch %d -> %d", before, c.Epoch())
+			}
+		} else if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < 16; i++ {
+			c.Next(int(tok)%4, 0, tok, nil)
+			tok++
+		}
 	}
-	// Defaulted CombineMax still must exceed the explicit DirectMax.
-	if _, err := adaptive.New(n, adaptive.Options{DirectMax: 100}); err != nil {
-		t.Errorf("zero CombineMax with large DirectMax rejected: %v", err)
+	if st := c.Stats(); st.PerMode[adaptive.ModeCombine] != 0 || st.Tokens != int64(tok) {
+		t.Fatalf("PerMode %v, Tokens %d after %d tokens", st.PerMode, st.Tokens, tok)
 	}
 }
 
@@ -156,10 +174,12 @@ func TestNewValidation(t *testing.T) {
 // gapless step-property sequence, with the epoch log conserving every
 // token.
 func TestQuiescentSwitchMatrix(t *testing.T) {
+	// From the initial direct epoch, the rotation crosses every ordered
+	// pair of the three modes.
 	rotation := []adaptive.Mode{
-		adaptive.ModeCombine, adaptive.ModeNetwork, adaptive.ModeLinear,
-		adaptive.ModeDirect, adaptive.ModeNetwork, adaptive.ModeLinear,
-		adaptive.ModeCombine, adaptive.ModeDirect,
+		adaptive.ModeNetwork, adaptive.ModeLinear, adaptive.ModeDirect,
+		adaptive.ModeLinear, adaptive.ModeNetwork, adaptive.ModeDirect,
+		adaptive.ModeNetwork, adaptive.ModeLinear,
 	}
 	for _, width := range matrixWidths {
 		t.Run(fmt.Sprintf("w%d", width), func(t *testing.T) {
@@ -193,13 +213,11 @@ func TestQuiescentSwitchMatrix(t *testing.T) {
 // breach — at every width.
 func TestConcurrentSwitchMatrix(t *testing.T) {
 	rotation := []adaptive.Mode{
-		adaptive.ModeCombine, adaptive.ModeNetwork, adaptive.ModeLinear, adaptive.ModeDirect,
+		adaptive.ModeNetwork, adaptive.ModeLinear, adaptive.ModeDirect,
 	}
 	for _, width := range matrixWidths {
 		t.Run(fmt.Sprintf("w%d", width), func(t *testing.T) {
-			c := newCounter(t, width, adaptive.Options{
-				CombineWindow: 50 * time.Microsecond,
-			})
+			c := newCounter(t, width, adaptive.Options{})
 			const workers = 8
 			const per = 64
 			vals := make([]int64, workers*per)
@@ -239,9 +257,7 @@ func TestConcurrentSwitchMatrix(t *testing.T) {
 // gate: every entry races a closing or reopening gate.
 func TestSwitchStorm(t *testing.T) {
 	const width = 4
-	c := newCounter(t, width, adaptive.Options{
-		CombineWindow: 20 * time.Microsecond,
-	})
+	c := newCounter(t, width, adaptive.Options{})
 	const workers = 4
 	const per = 128
 	vals := make([]int64, workers*per)
@@ -262,7 +278,7 @@ func TestSwitchStorm(t *testing.T) {
 storm:
 	for {
 		for _, m := range []adaptive.Mode{
-			adaptive.ModeNetwork, adaptive.ModeLinear, adaptive.ModeDirect, adaptive.ModeCombine,
+			adaptive.ModeNetwork, adaptive.ModeLinear, adaptive.ModeDirect,
 		} {
 			select {
 			case <-done:
@@ -337,16 +353,17 @@ func TestLinearizablePadding(t *testing.T) {
 			t.Fatalf("Linearizable off but k=%d", st.PadK)
 		}
 	})
-	t.Run("combine-unpadded", func(t *testing.T) {
-		// Padding is a network-mode guarantee: a combine epoch runs the
-		// plain network even when the ratio implies k > 2.
+	t.Run("linear-unpadded", func(t *testing.T) {
+		// Padding is a network-mode guarantee: a linear epoch runs the
+		// plain network even when the ratio implies k > 2 (its waiting
+		// already buys what padding would).
 		c := newCounter(t, 2, adaptive.Options{Linearizable: true, EffWait: 1e9})
 		c.Ratio().Observe(1)
-		if err := c.SwitchTo(adaptive.ModeCombine); err != nil {
+		if err := c.SwitchTo(adaptive.ModeLinear); err != nil {
 			t.Fatal(err)
 		}
 		if st := c.Stats(); st.PadK != 1 {
-			t.Fatalf("combine epoch got padding k=%d, want 1", st.PadK)
+			t.Fatalf("linear epoch got padding k=%d, want 1", st.PadK)
 		}
 	})
 }
@@ -398,8 +415,7 @@ func TestMeasuredRatioEngagesPadding(t *testing.T) {
 func TestControllerEscalates(t *testing.T) {
 	const width = 4
 	c := newCounter(t, width, adaptive.Options{
-		Window: 64, Hold: 1, DirectMax: 2, CombineMax: 6,
-		CombineWindow: 20 * time.Microsecond,
+		Window: 64, Hold: 1, DirectMax: 2,
 	})
 	const workers = 16
 	const per = 256
@@ -432,13 +448,12 @@ func TestControllerEscalates(t *testing.T) {
 }
 
 // TestStatsPartition checks the per-mode tally partition: every issued
-// token is attributed to exactly one regime, across all four regimes.
+// token is attributed to exactly one regime, across all three regimes.
 func TestStatsPartition(t *testing.T) {
 	c := newCounter(t, 4, adaptive.Options{})
+	live := []adaptive.Mode{adaptive.ModeDirect, adaptive.ModeNetwork, adaptive.ModeLinear}
 	var tok int32
-	for _, m := range []adaptive.Mode{
-		adaptive.ModeDirect, adaptive.ModeCombine, adaptive.ModeNetwork, adaptive.ModeLinear,
-	} {
+	for _, m := range live {
 		if err := c.SwitchTo(m); err != nil {
 			t.Fatal(err)
 		}
@@ -448,12 +463,16 @@ func TestStatsPartition(t *testing.T) {
 		}
 	}
 	st := c.Stats()
-	if got := st.PerMode[0] + st.PerMode[1] + st.PerMode[2] + st.PerMode[3]; got != st.Tokens || st.Tokens != int64(tok) {
+	var got int64
+	for _, n := range st.PerMode {
+		got += n
+	}
+	if got != st.Tokens || st.Tokens != int64(tok) {
 		t.Fatalf("per-mode partition %v sums to %d, issued %d", st.PerMode, got, tok)
 	}
-	for m, n := range st.PerMode {
-		if n != 40 {
-			t.Errorf("mode %v served %d tokens, want 40", adaptive.Mode(m), n)
+	for _, m := range live {
+		if n := st.PerMode[m]; n != 40 {
+			t.Errorf("mode %v served %d tokens, want 40", m, n)
 		}
 	}
 }
@@ -476,7 +495,6 @@ func TestAdaptiveStressMatrix(t *testing.T) {
 				}
 				front, err := adaptive.New(n, adaptive.Options{
 					Window: 128, Hold: 1,
-					CombineWindow: 50 * time.Microsecond,
 				})
 				if err != nil {
 					t.Fatal(err)
@@ -545,10 +563,10 @@ func TestAdaptiveQuiescentLinearizable(t *testing.T) {
 }
 
 // drawAll issues tokens [from, to) sequentially with a fast-fail
-// watchdog: a mis-seeded ModeLinear turn counter would hang Next forever
-// waiting for a turn value the epoch's backend will never issue, and the
-// watchdog turns that hang into a prompt failure instead of a package
-// timeout.
+// watchdog: a ModeLinear filter releasing from the wrong base would hang
+// Next forever waiting for a turn the epoch's backend will never issue,
+// and the watchdog turns that hang into a prompt failure instead of a
+// package timeout.
 func drawAll(t *testing.T, c *adaptive.Counter, width int, from, to int32) []int64 {
 	t.Helper()
 	out := make([]int64, 0, to-from)
@@ -563,26 +581,26 @@ func drawAll(t *testing.T, c *adaptive.Counter, width int, from, to int32) []int
 	case <-done:
 		return out
 	case <-time.After(30 * time.Second):
-		t.Fatalf("tokens [%d,%d) hung in mode %v: turn counter not seeded for the epoch", from, to, c.Mode())
+		t.Fatalf("tokens [%d,%d) hung in mode %v: linear filter not based on the epoch start", from, to, c.Mode())
 		return nil
 	}
 }
 
-// TestLinearTurnReset checks the per-epoch turn counter across regime
-// switches: every re-entry into ModeLinear must reseed the turn from the
+// TestLinearTurnReset checks the per-epoch waiting filter across regime
+// switches: every re-entry into ModeLinear must release relative to the
 // new epoch's backend start, or the first waiting token of the second
-// linear epoch would spin on a turn value that already passed.
+// linear epoch would spin on a turn that already passed.
 func TestLinearTurnReset(t *testing.T) {
 	const width = 4
 	c := newCounter(t, width, adaptive.Options{})
 	var vals []int64
 	var tok int32
 	for _, m := range []adaptive.Mode{
-		adaptive.ModeLinear,  // epoch 1: turn seeded from a zero backend
+		adaptive.ModeLinear,  // epoch 1: filter based on a zero backend
 		adaptive.ModeDirect,  // direct tokens advance only the FAA counter
 		adaptive.ModeLinear,  // re-entry: backend resumed mid-sequence
 		adaptive.ModeNetwork, // network tokens advance the shared backend...
-		adaptive.ModeLinear,  // ...so this reseed crosses unwaited values
+		adaptive.ModeLinear,  // ...so this base skips unwaited values
 	} {
 		if err := c.SwitchTo(m); err != nil {
 			t.Fatal(err)
@@ -620,15 +638,15 @@ func TestLinearBelowStartsLinear(t *testing.T) {
 // TestLinearBelowNeverVotesUnguaranteed pins the controller's
 // guaranteed-ordering override: with LinearBelow far above any reachable
 // occupancy, a free-running controller may move between direct and
-// linear but must never serve a token from the unguaranteed combine or
-// network regimes. Escalation itself is scheduling-dependent on a small
+// linear but must never serve a token from the unguaranteed network
+// regime. Escalation itself is scheduling-dependent on a small
 // host, so reaching ModeLinear is asserted only under
 // COUNTNET_STRICT_TIMING; the exclusion and the permutation are
 // unconditional.
 func TestLinearBelowNeverVotesUnguaranteed(t *testing.T) {
 	const width = 4
 	c := newCounter(t, width, adaptive.Options{
-		Window: 64, Hold: 1, DirectMax: 2, CombineMax: 6,
+		Window: 64, Hold: 1, DirectMax: 2,
 		LinearBelow: 1 << 20,
 	})
 	const workers = 16
@@ -651,8 +669,8 @@ func TestLinearBelowNeverVotesUnguaranteed(t *testing.T) {
 	checkConservation(t, c, workers*per)
 	st := c.Stats()
 	t.Logf("controller: %d switches, per-mode tokens %v", st.Switches, st.PerMode)
-	if n := st.PerMode[adaptive.ModeCombine] + st.PerMode[adaptive.ModeNetwork]; n != 0 {
-		t.Errorf("guaranteed-ordering run served %d tokens from unguaranteed regimes: %v", n, st.PerMode)
+	if n := st.PerMode[adaptive.ModeNetwork]; n != 0 {
+		t.Errorf("guaranteed-ordering run served %d tokens from the unguaranteed network: %v", n, st.PerMode)
 	}
 	if st.PerMode[adaptive.ModeLinear] == 0 && os.Getenv("COUNTNET_STRICT_TIMING") != "" {
 		t.Error("no token ever served in ModeLinear under 16-worker load")
@@ -719,23 +737,5 @@ func TestLinearZeroViolations(t *testing.T) {
 	t.Logf("bare network under the same anomalies: %s", bareRes.Report)
 	if bareRes.Report.NonLinearizable == 0 && os.Getenv("COUNTNET_STRICT_TIMING") != "" {
 		t.Error("W-anomaly injection produced no bare-network violations to contrast against")
-	}
-}
-
-// TestFrontCombineExclusive checks the driver-level guard: the Front
-// seam and the inline funnel cannot both be configured.
-func TestFrontCombineExclusive(t *testing.T) {
-	n, err := shm.Compile(buildGraph(t, 2), shm.Options{Kind: shm.KindMCS})
-	if err != nil {
-		t.Fatal(err)
-	}
-	front, err := adaptive.New(n, adaptive.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := shm.Stress(shm.StressConfig{
-		Net: n, Workers: 1, Ops: 10, Front: front, Combine: true,
-	}); err == nil {
-		t.Fatal("Front+Combine accepted")
 	}
 }

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"sync/atomic"
 	"testing"
-	"time"
 
 	"countnet/internal/bitonic"
 	"countnet/internal/shm"
@@ -30,15 +29,6 @@ func (d *directFront) Next(input int, proc, tok int32, afterNode func(id topo.No
 	return v
 }
 
-// BenchmarkAdaptive is the crossover sweep behind BENCH_adaptive.json
-// (EXPERIMENTS.md E25): the same fixed workload — 4096 tokens through a
-// width-8 bitonic network — driven by worker counts from 1 to 256
-// through each static backend (direct fetch-add, combining funnel, full
-// network) and through the adaptive front-end, all via the identical
-// shm.Stress driver. The acceptance bar is that at every worker count
-// the adaptive row lands within 10% of the best static row: it should
-// pay only its sampling/gate overhead at 1 worker and track whichever
-// backend wins as contention grows.
 // BenchmarkAdaptiveLinear quantifies the serialization cliff of the
 // guaranteed-linearizable waiting regime (EXPERIMENTS.md E27): the same
 // 4096-token width-8 workload with the front-end pinned to ModeLinear
@@ -87,13 +77,22 @@ func BenchmarkAdaptiveLinear(b *testing.B) {
 	}
 }
 
+// BenchmarkAdaptive is the crossover sweep behind BENCH_adaptive.json
+// (EXPERIMENTS.md E25): the same fixed workload — 4096 tokens through a
+// width-8 bitonic network — driven by worker counts from 1 to 256
+// through each static backend (direct fetch-add, full network) and
+// through the adaptive front-end, all via the identical
+// shm.Stress driver. The acceptance bar is that at every worker count
+// the adaptive row lands within 10% of the best static row: it should
+// pay only its sampling/gate overhead at 1 worker and track whichever
+// backend wins as contention grows.
 func BenchmarkAdaptive(b *testing.B) {
 	g, err := bitonic.New(8)
 	if err != nil {
 		b.Fatal(err)
 	}
 	const ops = 4096
-	engines := []string{"direct", "combine", "network", "adaptive"}
+	engines := []string{"direct", "network", "adaptive"}
 	for _, workers := range []int{1, 8, 32, 128, 256} {
 		for _, eng := range engines {
 			b.Run(fmt.Sprintf("%s/p%d", eng, workers), func(b *testing.B) {
@@ -107,15 +106,8 @@ func BenchmarkAdaptive(b *testing.B) {
 					switch eng {
 					case "direct":
 						cfg.Front = &directFront{}
-					case "combine":
-						cfg.Combine = true
-						cfg.CombineWidth = 32
-						cfg.CombineWindow = 20 * time.Microsecond
 					case "adaptive":
-						front, err := adaptive.New(n, adaptive.Options{
-							CombineWindow: 20 * time.Microsecond,
-							EffWait:       cfg.EffWait(),
-						})
+						front, err := adaptive.New(n, adaptive.Options{EffWait: cfg.EffWait()})
 						if err != nil {
 							b.Fatal(err)
 						}

@@ -1,7 +1,7 @@
 // The hysteretic regime controller. It runs on whichever worker
 // goroutine happens to close a sampling window (there is no background
 // thread — an idle counter makes no decisions), reads the window's mean
-// occupancy plus the funnel's CAS-failure rate, votes for a regime, and
+// occupancy, votes for a regime, and
 // only executes a drain-then-switch once Hold consecutive windows have
 // cast the same vote. Escalation and de-escalation use different
 // thresholds (the de-escalation edge is half the escalation edge), so a
@@ -61,29 +61,24 @@ func (c *Counter) control() {
 }
 
 // vote maps one window's signals to the regime the controller wants.
-// The ladder escalates on mean occupancy — DirectMax collisions justify
-// the funnel's rendezvous cost, CombineMax justify the network's depth —
-// and de-escalates only below half of each edge. In combine mode a
-// CAS-failure rate above RaceMax per token escalates regardless of
-// occupancy: losing that many claim races means the slots themselves
-// have become the hot spot the network exists to avoid.
+// The ladder escalates from the direct counter to the network at mean
+// occupancy DirectMax and de-escalates only below half of it.
 //
 // When the user asked for guaranteed ordering (Options.LinearBelow),
-// ModeLinear overrides any network-family vote while the occupancy makes
-// waiting affordable: a linear epoch stays linear below the band, and a
-// combine/network vote enters ModeLinear only below half the band — the
-// same split-edge hysteresis the ladder uses, so the guarantee boundary
-// cannot flap either. Direct votes pass through untouched: a single
-// fetch-and-add is already linearizable, no waiting required. Within the
-// occupancy ladder a linear epoch counts as its network-family cousin
-// (it is the network, plus waiting).
+// ModeLinear overrides a network vote while the occupancy makes waiting
+// affordable: a linear epoch stays linear below the band, and a network
+// vote enters ModeLinear only below half the band — the same split-edge
+// hysteresis the ladder uses, so the guarantee boundary cannot flap
+// either. Direct votes pass through untouched: a single fetch-and-add is
+// already linearizable, no waiting required. Within the occupancy ladder
+// a linear epoch counts as the network (it is the network, plus
+// waiting).
 func (c *Counter) vote(mode Mode, occ float64) Mode {
-	ladder := mode
-	if ladder == ModeLinear {
-		ladder = ModeNetwork
+	edge := float64(c.opts.DirectMax)
+	if occ < edge && (mode == ModeDirect || occ < edge/2) {
+		return ModeDirect
 	}
-	want := c.ladderVote(ladder, occ)
-	if lb := float64(c.opts.LinearBelow); lb > 0 && want != ModeDirect {
+	if lb := float64(c.opts.LinearBelow); lb > 0 {
 		switch {
 		case mode == ModeLinear && occ < lb:
 			return ModeLinear // stay: not high enough to abandon the guarantee
@@ -91,40 +86,5 @@ func (c *Counter) vote(mode Mode, occ float64) Mode {
 			return ModeLinear // enter: waiting is clearly affordable
 		}
 	}
-	return want
-}
-
-// ladderVote is the three-regime occupancy/race ladder.
-func (c *Counter) ladderVote(mode Mode, occ float64) Mode {
-	if mode == ModeCombine && c.raceRate() > c.opts.RaceMax {
-		return ModeNetwork
-	}
-	switch {
-	case occ >= float64(c.opts.CombineMax):
-		return ModeNetwork
-	case occ >= float64(c.opts.DirectMax):
-		if mode == ModeNetwork && occ >= float64(c.opts.CombineMax)/2 {
-			return ModeNetwork // hysteresis band: not low enough to drop
-		}
-		return ModeCombine
-	case occ >= float64(c.opts.DirectMax)/2 && mode != ModeDirect:
-		return ModeCombine // hysteresis band: not low enough to go direct
-	default:
-		return ModeDirect
-	}
-}
-
-// raceRate returns the funnel's CAS failures per token since the last
-// call (0 when no tokens passed). Deltas, not totals: the controller
-// judges the window, not the counter's whole history.
-func (c *Counter) raceRate() float64 {
-	st := c.funnel.Stats()
-	dr := st.Races - c.lastRaces
-	dt := st.Tokens - c.lastToks
-	c.lastRaces = st.Races
-	c.lastToks = st.Tokens
-	if dt <= 0 {
-		return 0
-	}
-	return float64(dr) / float64(dt)
+	return ModeNetwork
 }

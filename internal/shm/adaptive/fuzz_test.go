@@ -3,7 +3,6 @@ package adaptive_test
 import (
 	"sync"
 	"testing"
-	"time"
 
 	"countnet/internal/bitonic"
 	"countnet/internal/shm"
@@ -19,11 +18,12 @@ import (
 // log conserves every token (each one attributed to exactly one epoch).
 //
 // Byte encoding: b < 0x80 issues a burst of (b&7)+1 tokens from distinct
-// goroutines; b >= 0x80 forces SwitchTo(b mod 4) — the four-mode
-// alphabet covers the guaranteed ModeLinear regime and its per-epoch
-// turn reseed alongside the escalation ladder. Inputs are capped at 48
-// actions to bound each case's goroutine count.
+// goroutines; b >= 0x80 forces a switch into live[b mod 3] — the
+// three-mode alphabet covers the guaranteed ModeLinear regime and its
+// per-epoch filter alongside the direct/network ladder. Inputs are capped
+// at 48 actions to bound each case's goroutine count.
 func FuzzAdaptiveSwitch(f *testing.F) {
+	live := [3]adaptive.Mode{adaptive.ModeDirect, adaptive.ModeNetwork, adaptive.ModeLinear}
 	f.Add([]byte{0x07, 0x80, 0x07, 0x81, 0x07, 0x82, 0x07, 0x83, 0x07})
 	f.Add([]byte{0x00, 0x82, 0x00, 0x80, 0x00})
 	f.Add([]byte{0x81, 0x81, 0x81, 0x07, 0x07})
@@ -46,17 +46,14 @@ func FuzzAdaptiveSwitch(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		c, err := adaptive.New(n, adaptive.Options{
-			Window: 32, Hold: 1,
-			CombineWindow: 20 * time.Microsecond,
-		})
+		c, err := adaptive.New(n, adaptive.Options{Window: 32, Hold: 1})
 		if err != nil {
 			t.Fatal(err)
 		}
 		var vals []int64
 		for _, b := range data {
 			if b >= 0x80 {
-				if err := c.SwitchTo(adaptive.Mode(b % 4)); err != nil {
+				if err := c.SwitchTo(live[b%3]); err != nil {
 					t.Fatal(err)
 				}
 				continue

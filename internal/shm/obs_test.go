@@ -211,47 +211,3 @@ func TestStressCausalSpans(t *testing.T) {
 		}
 	}
 }
-
-// TestStressCombineSpans pins the funnel path's causal story: a combined
-// worker's exit chains straight onto its enter (the traversal ran on the
-// combiner's identity), so the trace still closes with zero orphans.
-func TestStressCombineSpans(t *testing.T) {
-	g, err := bitonic.New(4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	n, err := Compile(g, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ring := obs.NewRing(8, 1<<13)
-	const ops = 200
-	if _, err := Stress(StressConfig{
-		Net: n, Workers: 8, Ops: ops, Seed: 7, Tracer: ring,
-		Combine: true, CombineWidth: 8, CombineWindow: 20 * time.Microsecond,
-	}); err != nil {
-		t.Fatal(err)
-	}
-	events := ring.Events()
-	if _, orphans := obs.CausalClosure(events); orphans != 0 {
-		t.Fatalf("combine trace not causally closed: %d orphans", orphans)
-	}
-	enterSpan := map[int64]uint64{} // (wkr, tok) key → enter span
-	key := func(ev obs.Event) int64 { return int64(ev.P)<<32 | int64(ev.Tok) }
-	for _, ev := range events {
-		if ev.Kind == obs.KindEnter {
-			enterSpan[key(ev)] = ev.Span
-		}
-	}
-	for _, ev := range events {
-		if ev.Kind != obs.KindExit {
-			continue
-		}
-		if ev.Parent == 0 {
-			t.Fatalf("exit without causal parent: %+v", ev)
-		}
-		if ev.Parent == enterSpan[key(ev)] {
-			continue // combined away: exit chains onto its own enter
-		}
-	}
-}

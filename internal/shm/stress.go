@@ -11,7 +11,6 @@ import (
 	"countnet/internal/lincheck"
 	"countnet/internal/obs"
 	"countnet/internal/shm/backoff"
-	"countnet/internal/shm/combine"
 	"countnet/internal/topo"
 )
 
@@ -34,30 +33,15 @@ type StressConfig struct {
 	// simulated processor — the model for per-node costs that hold the
 	// hardware, like cache-coherence stalls or spinning in a lock queue
 	// — instead of the default cooperative pause, which models delays a
-	// descheduled process doesn't charge to anyone else. Combining
-	// amortizes burned delays across a combined walk exactly as it
-	// amortizes real contention.
+	// descheduled process doesn't charge to anyone else.
 	BurnDelay bool
 	// Seed drives random delays and worker input choice.
 	Seed int64
-	// Combine enables the elimination/combining funnel in front of the
-	// network: concurrent workers rendezvous in an exchanger array and a
-	// paired pair sends one representative through the balancers with
-	// demand 2, halving concurrent traversals under contention while
-	// preserving exact counting (see internal/shm/combine).
-	Combine bool
-	// CombineWidth is the funnel's exchanger slot count (default
-	// combine.DefaultWidth).
-	CombineWidth int
-	// CombineWindow is how long a token camps for a partner before
-	// traversing alone (default combine.DefaultWindow).
-	CombineWindow time.Duration
 	// Front, when non-nil, is a pluggable counting front-end the workers
 	// route every operation through instead of traversing Net directly
 	// (the contention-adaptive engine in internal/shm/adaptive is one).
 	// Net stays required: it is the front-end's backend and still
-	// supplies input width and observability. Mutually exclusive with
-	// Combine, which is a specific front-end wired inline.
+	// supplies input width and observability.
 	Front Front
 	// Tracer, when non-nil, receives per-token enter/balancer/counter/exit
 	// events on the run's monotonic timeline.
@@ -105,9 +89,6 @@ type StressResult struct {
 	// the paper's (Tog+W)/Tog; both zero unless Metrics was set.
 	Tog      float64
 	AvgRatio float64
-	// Combine is the funnel's counter snapshot, nil unless the run was
-	// configured with Combine.
-	Combine *combine.Stats
 }
 
 // Stress runs the benchmark. Operation timestamps come from the monotonic
@@ -128,9 +109,6 @@ func Stress(cfg StressConfig) (*StressResult, error) {
 	if cfg.Delay < 0 {
 		return nil, fmt.Errorf("shm: negative delay")
 	}
-	if cfg.Front != nil && cfg.Combine {
-		return nil, fmt.Errorf("shm: Front and Combine are mutually exclusive")
-	}
 	rec := lincheck.NewRecorder(cfg.Ops)
 	var remaining atomic.Int64
 	remaining.Store(int64(cfg.Ops))
@@ -141,14 +119,6 @@ func Stress(cfg StressConfig) (*StressResult, error) {
 		cfg.Net.EnableObs(cfg.Tracer, cfg.Metrics, clock, cfg.EffWait())
 	}
 	spanClock := cfg.Net.SpanClock() // non-nil exactly when tracing is on
-	var funnel *combine.Funnel
-	if cfg.Combine {
-		funnel = combine.New(combine.Options{
-			Width:   cfg.CombineWidth,
-			Window:  cfg.CombineWindow,
-			Metrics: cfg.Metrics,
-		})
-	}
 	nd := int(cfg.DelayedFrac * float64(cfg.Workers))
 	var wg sync.WaitGroup
 	for wkr := 0; wkr < cfg.Workers; wkr++ {
@@ -169,16 +139,12 @@ func Stress(cfg StressConfig) (*StressResult, error) {
 			case delayed && cfg.Delay > 0:
 				hook = func(topo.NodeID) { wait(cfg.Delay) }
 			}
-			var tok int32
-			trav := func(demand int) []int64 {
-				return cfg.Net.TraverseBatch(input, demand, int32(wkr), tok, hook)
-			}
 			for {
 				rem := remaining.Add(-1)
 				if rem < 0 {
 					return
 				}
-				tok = int32(int64(cfg.Ops) - 1 - rem)
+				tok := int32(int64(cfg.Ops) - 1 - rem)
 				start := clock()
 				var parent uint64
 				if observed && cfg.Tracer != nil {
@@ -190,14 +156,12 @@ func Stress(cfg StressConfig) (*StressResult, error) {
 				}
 				var v int64
 				// last is the exit event's causal parent: the counter hop
-				// when this worker traversed itself, the enter event when a
-				// funnel combiner traversed on its behalf.
+				// when this worker traversed the network itself, the enter
+				// event when a front-end served the token.
 				last := parent
 				switch {
 				case cfg.Front != nil:
 					v = cfg.Front.Next(input, int32(wkr), tok, hook)
-				case funnel != nil:
-					v = funnel.Do(1, trav)[0]
 				case observed:
 					v, last = cfg.Net.TraverseSpan(input, int32(wkr), tok, parent, hook)
 				default:
@@ -231,14 +195,10 @@ func Stress(cfg StressConfig) (*StressResult, error) {
 		res.Tog = r.Tog()
 		res.AvgRatio = core.AvgRatio(res.Tog, cfg.EffWait())
 	}
-	if funnel != nil {
-		st := funnel.Stats()
-		res.Combine = &st
-	}
 	return res, nil
 }
 
 // pause delays the calling goroutine for d: short pauses poll (keeping
 // microsecond precision), long ones sleep. The escalation policy is the
-// shared backoff helper's, the same one combine slots use.
+// shared backoff helper's.
 func pause(d time.Duration) { backoff.Pause(d) }

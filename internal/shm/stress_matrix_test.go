@@ -12,8 +12,7 @@ import (
 
 // width1Graph builds the degenerate width-1 network — one pass-through
 // balancer feeding one counter — which the bitonic constructor rejects
-// but the combining funnel must still serve correctly: with a single
-// counter every combined walk hands out a contiguous block.
+// but the stress driver must still serve correctly.
 func width1Graph(t *testing.T) *topo.Graph {
 	t.Helper()
 	b := topo.NewBuilder()
@@ -28,8 +27,8 @@ func width1Graph(t *testing.T) *topo.Graph {
 }
 
 // checkPermutation asserts the run handed out exactly the values
-// 0..ops-1 — the quiescent no-duplicates/no-gaps contract that must
-// hold whether or not tokens combined. On failure it pulls the first
+// 0..ops-1 — the quiescent no-duplicates/no-gaps contract. On failure it
+// pulls the first
 // linearizability witness from the op history for a concrete schedule
 // to stare at.
 func checkPermutation(t *testing.T, ops []lincheck.Op, n int) {
@@ -46,13 +45,11 @@ func checkPermutation(t *testing.T, ops []lincheck.Op, n int) {
 	}
 }
 
-// TestStressCombineMatrix runs the combining funnel over the full
-// width × processor-count grid the issue calls for and checks that no
-// cell duplicates or skips a counter value. Linearizability violations
-// are allowed — with injected delays they are the paper's expected
-// behaviour, combined or not — but the permutation must be exact, and
-// the funnel's disposition counters must account for every token.
-func TestStressCombineMatrix(t *testing.T) {
+// TestStressMatrix runs the stress driver over a width × processor-count
+// grid and checks that no cell duplicates or skips a counter value.
+// Linearizability violations are allowed — with injected delays they are
+// the paper's expected behaviour — but the permutation must be exact.
+func TestStressMatrix(t *testing.T) {
 	for _, width := range []int{1, 2, 4, 8} {
 		for _, procs := range []int{4, 32, 256} {
 			t.Run(fmt.Sprintf("w%d/p%d", width, procs), func(t *testing.T) {
@@ -71,33 +68,24 @@ func TestStressCombineMatrix(t *testing.T) {
 				res, err := Stress(StressConfig{
 					Net: n, Workers: procs, Ops: ops, Seed: int64(width*1000 + procs),
 					DelayedFrac: 0.25, Delay: 20 * time.Microsecond,
-					Combine: true, CombineWindow: 100 * time.Microsecond,
 				})
 				if err != nil {
 					t.Fatal(err)
 				}
 				checkPermutation(t, res.Ops, ops)
-				s := res.Combine
-				if s == nil {
-					t.Fatal("combined run reported no funnel stats")
-				}
-				if s.Tokens != int64(ops) {
-					t.Fatalf("funnel saw %d tokens, ran %d ops", s.Tokens, ops)
-				}
-				if got := s.Idle + s.Pairs + s.Partners + s.Timeouts + s.Solo; got != s.Tokens {
-					t.Errorf("disposition partition broken: %+v", *s)
+				if res.Report.Total != ops {
+					t.Fatalf("analyzed %d ops, ran %d", res.Report.Total, ops)
 				}
 			})
 		}
 	}
 }
 
-// TestStressCombineGapProperty is the adversarial property run: every
-// worker delayed, with the delay burned as busy work (the regime where
-// combining actually pays), at a window long enough that essentially
-// every token pairs. Even at hit rates near 1.0 the values must form an
+// TestStressBurnGapProperty is the adversarial property run: every
+// worker delayed, with the delay burned as busy work that holds the
+// processor, on more workers than CPUs. The values must still form an
 // exact permutation.
-func TestStressCombineGapProperty(t *testing.T) {
+func TestStressBurnGapProperty(t *testing.T) {
 	g, err := bitonic.New(8)
 	if err != nil {
 		t.Fatal(err)
@@ -107,7 +95,6 @@ func TestStressCombineGapProperty(t *testing.T) {
 	res, err := Stress(StressConfig{
 		Net: n, Workers: 128, Ops: ops, Seed: 7,
 		DelayedFrac: 1, Delay: 20 * time.Microsecond, BurnDelay: true,
-		Combine: true, CombineWidth: 32, CombineWindow: 500 * time.Microsecond,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -116,30 +103,23 @@ func TestStressCombineGapProperty(t *testing.T) {
 	if res.Report.Total != ops {
 		t.Fatalf("analyzed %d ops, ran %d", res.Report.Total, ops)
 	}
-	if r := res.Combine.HitRate(); r < 0 || r > 1 {
-		t.Fatalf("hit rate %f outside [0,1]", r)
-	}
 }
 
-// TestStressCombineQuiescentLinearizable checks that with no injected
-// delays and a single worker the combined engine is fully linearizable:
-// the funnel's idle fast path degenerates to plain traversal, so the
-// sequential guarantees survive.
-func TestStressCombineQuiescentLinearizable(t *testing.T) {
+// TestStressQuiescentLinearizable checks that with no injected delays
+// and a single worker the stress run is fully linearizable: one token at
+// a time leaves no room for the paper's timing anomaly.
+func TestStressQuiescentLinearizable(t *testing.T) {
 	g, err := bitonic.New(4)
 	if err != nil {
 		t.Fatal(err)
 	}
 	n := compile(t, g, Options{Kind: KindMCS})
-	res, err := Stress(StressConfig{Net: n, Workers: 1, Ops: 500, Seed: 3, Combine: true})
+	res, err := Stress(StressConfig{Net: n, Workers: 1, Ops: 500, Seed: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
 	checkPermutation(t, res.Ops, 500)
 	if !res.Report.Linearizable() {
-		t.Fatalf("sequential combined run not linearizable: %s", res.Report)
-	}
-	if s := res.Combine; s.Idle != s.Tokens {
-		t.Errorf("single worker should always take the idle path: %+v", *s)
+		t.Fatalf("sequential run not linearizable: %s", res.Report)
 	}
 }

@@ -23,18 +23,10 @@ type RealSpec struct {
 	// BurnDelay burns W as busy work occupying the simulated processor
 	// (the model for coherence stalls) instead of a cooperative pause.
 	BurnDelay bool
-	// Combine routes tokens through the elimination/combining funnel in
-	// front of the network (internal/shm/combine); CombineWidth and
-	// CombineWindow configure it, zero values meaning the funnel
-	// defaults.
-	Combine       bool
-	CombineWidth  int
-	CombineWindow time.Duration
 	// Adaptive routes tokens through the contention-adaptive front-end
-	// (internal/shm/adaptive), which switches between a direct counter,
-	// the combining funnel, and the full network as load changes.
-	// Mutually exclusive with Combine (the adaptive engine owns its own
-	// funnel). AdaptiveLinearizable enables its Corollary 3.12 padding.
+	// (internal/shm/adaptive), which switches between a direct counter
+	// and the full network as load changes. AdaptiveLinearizable enables
+	// its Corollary 3.12 padding.
 	// AdaptiveLinearBelow forwards adaptive.Options.LinearBelow: when
 	// positive, the front-end starts in — and below that occupancy stays
 	// in — the guaranteed-linearizable ModeLinear waiting regime.
@@ -51,9 +43,6 @@ func (s RealSpec) String() string {
 	}
 	if s.BurnDelay {
 		tail += "/burn"
-	}
-	if s.Combine {
-		tail += "/combine"
 	}
 	if s.Adaptive {
 		tail += "/adaptive"
@@ -82,28 +71,20 @@ func (s RealSpec) Run() (*shm.StressResult, error) {
 		return nil, err
 	}
 	cfg := shm.StressConfig{
-		Net:           n,
-		Workers:       s.Workers,
-		Ops:           s.Ops,
-		DelayedFrac:   s.Frac,
-		Delay:         s.Delay,
-		RandomDelay:   s.RandomDelay,
-		BurnDelay:     s.BurnDelay,
-		Seed:          s.Seed,
-		Combine:       s.Combine,
-		CombineWidth:  s.CombineWidth,
-		CombineWindow: s.CombineWindow,
+		Net:         n,
+		Workers:     s.Workers,
+		Ops:         s.Ops,
+		DelayedFrac: s.Frac,
+		Delay:       s.Delay,
+		RandomDelay: s.RandomDelay,
+		BurnDelay:   s.BurnDelay,
+		Seed:        s.Seed,
 	}
 	if s.Adaptive {
-		if s.Combine {
-			return nil, fmt.Errorf("workload: Adaptive and Combine are mutually exclusive")
-		}
 		front, err := adaptive.New(n, adaptive.Options{
-			Linearizable:  s.AdaptiveLinearizable,
-			LinearBelow:   s.AdaptiveLinearBelow,
-			CombineWidth:  s.CombineWidth,
-			CombineWindow: s.CombineWindow,
-			EffWait:       cfg.EffWait(),
+			Linearizable: s.AdaptiveLinearizable,
+			LinearBelow:  s.AdaptiveLinearBelow,
+			EffWait:      cfg.EffWait(),
 		})
 		if err != nil {
 			return nil, err
