@@ -144,8 +144,18 @@ func (n *Network) forward(link int, dest chan token, t token) bool {
 
 // deliverAsync delivers a copy of t from its own goroutine after an
 // optional hold. The goroutine is tracked by n.done so Close still waits
-// for every in-flight delivery attempt, and it aborts on n.stop.
+// for every in-flight delivery attempt, and it aborts on n.stop. Once
+// Close has closed stop no courier starts: Traverse callers send too, and
+// they are not counted in n.done, so their Add could otherwise race
+// Close's Wait.
 func (n *Network) deliverAsync(dest chan token, t token, hold time.Duration) {
+	n.closeMu.Lock()
+	defer n.closeMu.Unlock()
+	select {
+	case <-n.stop:
+		return
+	default:
+	}
 	n.done.Add(1)
 	go func() {
 		defer n.done.Done()

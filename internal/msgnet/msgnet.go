@@ -79,13 +79,15 @@ type netObs struct {
 // Network is a running message-passing balancing network. Create with
 // Start, use Traverse from any number of goroutines, and Close when done.
 type Network struct {
-	g      *topo.Graph
-	inbox  []chan token // one per node
-	stop   chan struct{}
-	done   sync.WaitGroup
-	closed sync.Once
-	obs    *netObs     // nil when neither tracer nor metrics configured
-	flight *obs.Flight // nil unless Options.Flight was set
+	g     *topo.Graph
+	inbox []chan token // one per node
+	stop  chan struct{}
+	done  sync.WaitGroup
+	// closeMu orders closing stop against deliverAsync's done.Add, so no
+	// Add can run concurrently with Close's Wait once stop is closed.
+	closeMu sync.Mutex
+	obs     *netObs     // nil when neither tracer nor metrics configured
+	flight  *obs.Flight // nil unless Options.Flight was set
 
 	// Fault-injection state; inj is nil on fault-free networks and the
 	// rest is untouched.
@@ -355,6 +357,12 @@ func (n *Network) Ratio() *obs.Ratio {
 // Close stops every node goroutine and waits for them to exit. Tokens in
 // flight are dropped; their Traverse calls return an error.
 func (n *Network) Close() {
-	n.closed.Do(func() { close(n.stop) })
+	n.closeMu.Lock()
+	select {
+	case <-n.stop:
+	default:
+		close(n.stop)
+	}
+	n.closeMu.Unlock()
 	n.done.Wait()
 }

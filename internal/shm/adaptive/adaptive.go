@@ -391,14 +391,15 @@ func (c *Counter) enter(proc int32) (int, *epoch) {
 // dispatch routes one token through the epoch's structure and returns the
 // backend's raw sequence value.
 func (c *Counter) dispatch(ep *epoch, input int, proc, tok int32, afterNode func(id topo.NodeID)) int64 {
-	switch ep.mode {
-	case ModeDirect:
+	if ep.mode == ModeDirect {
 		v := c.direct.v.Add(1) - 1
 		if afterNode != nil {
 			afterNode(-1)
 		}
 		return v
-	case ModeLinear:
+	}
+	v, _ := ep.net.TraverseSpan(input, proc, tok, 0, afterNode)
+	if ep.mode == ModeLinear {
 		// Hold the response until every smaller value of the epoch has
 		// been released. The wait runs before Next's census decrement, so
 		// a waiting token still counts as in-flight and a concurrent drain
@@ -407,12 +408,9 @@ func (c *Counter) dispatch(ep *epoch, input int, proc, tok int32, afterNode func
 		// distinct value from the contiguous backend sequence, and the
 		// holder of the smallest unreleased value is never blocked — so
 		// the chain releases in value order until the census reaches zero.
-		v := ep.net.TraverseObs(input, proc, tok, afterNode)
 		ep.lin.Release(v - ep.strt)
-		return v
-	default:
-		return ep.net.TraverseObs(input, proc, tok, afterNode)
 	}
+	return v
 }
 
 // sample folds one timed token into the controller's accumulators: the

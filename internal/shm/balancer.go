@@ -58,25 +58,50 @@ func NewBalancer(k Kind, fanOut int) (Balancer, error) {
 	}
 	switch k {
 	case KindAtomic:
-		return &atomicBalancer{fanOut: int64(fanOut)}, nil
+		return &atomicBalancer{c: cell{fanOut: int64(fanOut)}}, nil
 	case KindMutex:
 		return &mutexBalancer{fanOut: fanOut}, nil
 	case KindMCS:
-		return &mcsBalancer{fanOut: fanOut}, nil
+		return &mcsBalancer{c: cell{fanOut: int64(fanOut)}}, nil
 	default:
 		return nil, fmt.Errorf("shm: unknown balancer kind %d", int(k))
 	}
 }
 
-// atomicBalancer distributes tokens round-robin with one fetch-and-add.
-type atomicBalancer struct {
-	c      atomic.Int64
+// cell is one toggle on its own cache line: an MCS lock and the toggle it
+// guards, or KindAtomic's fetch-and-add ticket. A compiled network keeps
+// its toggles in one []cell. The hot fields fill the first 32 of 64 bytes,
+// so they keep a line of their own when Go starts the slice on a line or 8
+// bytes past one, after its malloc header (TestPlanMatchesSequential checks).
+type cell struct {
+	lock   mcs.Lock
+	toggle int64 // guarded by lock
+	ticket atomic.Int64
 	fanOut int64
+	_      [32]byte
 }
 
-func (b *atomicBalancer) Traverse() int {
-	return int((b.c.Add(1) - 1) % b.fanOut)
+// lockedToggle advances the toggle in an MCS critical section entered
+// with node, the paper's balancer.
+func (c *cell) lockedToggle(node *mcs.Node) int64 {
+	c.lock.Acquire(node)
+	out := c.toggle
+	if c.toggle++; c.toggle == c.fanOut {
+		c.toggle = 0
+	}
+	c.lock.Release(node)
+	return out
 }
+
+// fetchToggle advances the toggle with one fetch-and-add.
+func (c *cell) fetchToggle() int64 {
+	return (c.ticket.Add(1) - 1) % c.fanOut
+}
+
+// atomicBalancer distributes tokens round-robin with one fetch-and-add.
+type atomicBalancer struct{ c cell }
+
+func (b *atomicBalancer) Traverse() int { return int(b.c.fetchToggle()) }
 
 // mutexBalancer is the textbook toggle under a mutex.
 type mutexBalancer struct {
@@ -94,23 +119,17 @@ func (b *mutexBalancer) Traverse() int {
 	return out
 }
 
-// mcsBalancer is the paper's balancer: a toggle in a critical section
-// protected by an MCS queue lock.
+// mcsBalancer is a standalone MCS-locked toggle with its own node pool.
 type mcsBalancer struct {
-	lock   mcs.Lock
-	pool   mcs.Pool
-	toggle int
-	fanOut int
+	c    cell
+	pool mcs.Pool
 }
 
 func (b *mcsBalancer) Traverse() int {
 	n := b.pool.Get()
-	b.lock.Acquire(n)
-	out := b.toggle
-	b.toggle = (b.toggle + 1) % b.fanOut
-	b.lock.Release(n)
+	out := b.c.lockedToggle(n)
 	b.pool.Put(n)
-	return out
+	return int(out)
 }
 
 // Diffracting wraps a two-output toggle with a prism: concurrent pairs

@@ -1,11 +1,15 @@
 package shm
 
 import (
+	"fmt"
+	"runtime"
+	"sync"
 	"testing"
 	"time"
 
 	"countnet/internal/bitonic"
 	"countnet/internal/dtree"
+	"countnet/internal/obs"
 )
 
 func benchNetwork(b *testing.B, n *Network) {
@@ -80,4 +84,70 @@ func BenchmarkBalancers(b *testing.B) {
 			}
 		})
 	})
+}
+
+// BenchmarkWalk is rung 2 of the layer ladder: one network walk on
+// bitonic[32] (15 toggles and a counter fetch-and-add), untraced Traverse
+// against TraverseSpan with tracing and metrics on, at a fixed goroutine
+// count. It reports ns/token and allocs/token; untraced walks allocate
+// nothing.
+func BenchmarkWalk(b *testing.B) {
+	g, err := bitonic.New(32)
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, kind := range []Kind{KindAtomic, KindMCS} {
+		for _, traced := range []bool{false, true} {
+			for _, workers := range []int{1, 2} {
+				name := fmt.Sprintf("%s/traverse/g%d", kind, workers)
+				if traced {
+					name = fmt.Sprintf("%s/span/g%d", kind, workers)
+				}
+				b.Run(name, func(b *testing.B) {
+					n, err := Compile(g, Options{Kind: kind})
+					if err != nil {
+						b.Fatal(err)
+					}
+					if traced {
+						n.EnableObs(obs.NewRing(workers, 1<<12), obs.NewRegistry(), nil, 0)
+					}
+					benchWalk(b, n, workers, traced)
+				})
+			}
+		}
+	}
+}
+
+// benchWalk splits b.N walks over workers goroutines and reports the
+// per-token cost. The goroutines start before the allocation count is
+// read, so allocs/token counts the walks alone; like the testing
+// package's allocs/op it is truncated to a whole number, which keeps the
+// rare sync.Pool miss of an MCS queue node from reading as a per-token
+// cost.
+func benchWalk(b *testing.B, n *Network, workers int, traced bool) {
+	start := make(chan struct{})
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			<-start
+			for i := w; i < b.N; i += workers {
+				if traced {
+					n.TraverseSpan(i%n.InWidth(), int32(w), int32(i), 0, nil)
+				} else {
+					n.Traverse(i % n.InWidth())
+				}
+			}
+		}(w)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	b.ResetTimer()
+	close(start)
+	wg.Wait()
+	b.StopTimer()
+	runtime.ReadMemStats(&after)
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N), "ns/token")
+	b.ReportMetric(float64((after.Mallocs-before.Mallocs)/uint64(b.N)), "allocs/token")
 }

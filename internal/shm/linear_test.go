@@ -68,9 +68,10 @@ func TestFilterIsLinearizable(t *testing.T) {
 // the paper's W anomaly inside the network. The wait-then-release step is
 // the filter's own, so the test path cannot drift from the real one.
 func (f *Filter) slowTraverse(input int, stall time.Duration) int64 {
-	return f.Release(f.net.TraverseHook(input, func(topo.NodeID) {
+	v, _ := f.net.TraverseSpan(input, 0, 0, 0, func(topo.NodeID) {
 		deadline := time.Now().Add(stall)
 		for time.Now().Before(deadline) {
 		}
-	}))
+	})
+	return f.Release(v)
 }

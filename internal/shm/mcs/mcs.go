@@ -26,6 +26,13 @@ type Lock struct {
 
 // Acquire enters the critical section, spinning on n until the predecessor
 // hands the lock over. n must not be in use by another Acquire.
+//
+// Once Release(n) has returned, no other goroutine touches n again: the
+// successor, if any, was handed the lock through its own node, and the
+// lock's tail no longer names n. So a goroutine that holds at most one
+// lock at a time may reuse a single Node across any number of locks, in
+// any order; a compiled network's walk queues on one Node for every
+// toggle it passes.
 func (l *Lock) Acquire(n *Node) {
 	n.next.Store(nil)
 	n.locked.Store(true)

@@ -31,6 +31,42 @@ func TestMutualExclusion(t *testing.T) {
 	}
 }
 
+// TestNodeReuseAcrossLocks checks the reuse contract on Acquire: each
+// goroutine queues on one Node for a walk through a chain of locks,
+// holding one at a time, as a network traversal does. Every critical
+// section bumps its lock's plain counter, so a broken hand-off shows up
+// as a data race under -race or as a lost update in the totals.
+func TestNodeReuseAcrossLocks(t *testing.T) {
+	const goroutines = 8
+	const locks = 16
+	const walks = 500
+	var chain [locks]struct {
+		l     Lock
+		count int
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < goroutines; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			n := new(Node)
+			for w := 0; w < walks; w++ {
+				for i := range chain {
+					chain[i].l.Acquire(n)
+					chain[i].count++
+					chain[i].l.Release(n)
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	for i := range chain {
+		if got := chain[i].count; got != goroutines*walks {
+			t.Fatalf("lock %d counted %d, want %d", i, got, goroutines*walks)
+		}
+	}
+}
+
 func TestTryAcquire(t *testing.T) {
 	var l Lock
 	a, b := new(Node), new(Node)

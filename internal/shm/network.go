@@ -5,6 +5,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"countnet/internal/shm/mcs"
 	"countnet/internal/topo"
 )
 
@@ -27,16 +28,45 @@ type paddedCounter struct {
 	_ [56]byte
 }
 
+// stepKind says how a plan step routes a token.
+type stepKind uint8
+
+const (
+	stepCounter stepKind = iota // fetch-and-add on counters[at]; the walk ends
+	stepCell                    // the toggle in cells[at], of the network's Kind
+	stepPlug                    // plugs[at].Traverse(): mutex and prism balancers
+)
+
+// step is one node of the compiled plan, indexed by its topo.NodeID.
+type step struct {
+	at   int32 // index into counters, cells or plugs, by kind
+	next int32 // offset of a balancer's successors in Network.next
+	kind stepKind
+}
+
 // Network is a balancing network compiled for direct traversal by
 // goroutines: the paper's shared-memory counting network. It implements a
 // w-width shared counter whose Traverse returns globally unique,
 // step-property-consistent values.
+//
+// The compiled plan is flat: an entry table maps each input to its first
+// step, and each step names its toggle (or output counter) and where its
+// successors start in one next table, indexed by output port. Toggles and
+// output counters each sit on their own cache line.
 type Network struct {
-	g         *topo.Graph
-	balancers []Balancer // indexed by NodeID; nil for counters
-	counters  []paddedCounter
-	w         int64
-	obs       *netObs // nil until EnableObs; read-only afterwards
+	g        *topo.Graph
+	entry    []int32
+	steps    []step
+	next     []int32
+	cells    []cell
+	plugs    []Balancer
+	counters []paddedCounter
+	w        int64
+	locked   bool    // cells are MCS-locked, so walks carry a queue node
+	obs      *netObs // nil until EnableObs; read-only afterwards
+	_        [64]byte
+	pool     mcs.Pool // read by every walk, so on a line of its own
+	_        [64]byte
 }
 
 // Compile builds the runtime for g.
@@ -47,6 +77,9 @@ func Compile(g *topo.Graph, opts Options) (*Network, error) {
 	if opts.Kind == 0 {
 		opts.Kind = KindMCS
 	}
+	if opts.Kind < KindAtomic || opts.Kind > KindMCS {
+		return nil, fmt.Errorf("shm: unknown balancer kind %d", int(opts.Kind))
+	}
 	if opts.PrismWidth == 0 {
 		opts.PrismWidth = 4
 	}
@@ -54,23 +87,45 @@ func Compile(g *topo.Graph, opts Options) (*Network, error) {
 		opts.PrismWindow = 5 * time.Microsecond
 	}
 	n := &Network{
-		g:         g,
-		balancers: make([]Balancer, g.NumNodes()),
-		counters:  make([]paddedCounter, g.OutWidth()),
-		w:         int64(g.OutWidth()),
+		g:        g,
+		entry:    make([]int32, g.InWidth()),
+		steps:    make([]step, g.NumNodes()),
+		cells:    make([]cell, 0, g.NumBalancers()),
+		counters: make([]paddedCounter, g.OutWidth()),
+		w:        int64(g.OutWidth()),
 	}
-	for _, id := range g.Balancers() {
-		b, err := NewBalancer(opts.Kind, g.FanOut(id))
+	for i := range n.entry {
+		n.entry[i] = int32(g.Input(i).Node)
+	}
+	for i := range n.steps {
+		id, s := topo.NodeID(i), &n.steps[i]
+		if g.KindOf(id) == topo.KindCounter {
+			s.at = int32(g.CounterIndex(id))
+			continue
+		}
+		fanOut := g.FanOut(id)
+		s.next = int32(len(n.next))
+		for p := 0; p < fanOut; p++ {
+			n.next = append(n.next, int32(g.OutDest(id, p).Node))
+		}
+		diffract := opts.Diffract && fanOut == 2
+		if !diffract && opts.Kind != KindMutex {
+			s.kind, s.at = stepCell, int32(len(n.cells))
+			n.cells = n.cells[:len(n.cells)+1]
+			n.cells[s.at].fanOut = int64(fanOut)
+			continue
+		}
+		b, err := NewBalancer(opts.Kind, fanOut)
+		if err == nil && diffract {
+			b, err = NewDiffracting(b, opts.PrismWidth, opts.PrismWindow)
+		}
 		if err != nil {
 			return nil, err
 		}
-		if opts.Diffract && g.FanOut(id) == 2 {
-			if b, err = NewDiffracting(b, opts.PrismWidth, opts.PrismWindow); err != nil {
-				return nil, err
-			}
-		}
-		n.balancers[id] = b
+		s.kind, s.at = stepPlug, int32(len(n.plugs))
+		n.plugs = append(n.plugs, b)
 	}
+	n.locked = opts.Kind == KindMCS && len(n.cells) > 0
 	return n, nil
 }
 
@@ -78,7 +133,7 @@ func Compile(g *topo.Graph, opts Options) (*Network, error) {
 func (n *Network) Graph() *topo.Graph { return n.g }
 
 // InWidth returns the number of network inputs.
-func (n *Network) InWidth() int { return n.g.InWidth() }
+func (n *Network) InWidth() int { return len(n.entry) }
 
 // OutWidth returns the number of output counters.
 func (n *Network) OutWidth() int { return int(n.w) }
@@ -88,30 +143,51 @@ func (n *Network) OutWidth() int { return int(n.w) }
 //
 //countnet:hotpath
 func (n *Network) Traverse(input int) int64 {
-	return n.TraverseHook(input, nil)
+	v, _ := n.walk(input, nil)
+	return v
 }
 
-// TraverseHook is Traverse with a callback invoked after every node
-// transition (balancers and the final counter); the stress driver uses it to
-// inject the paper's W-cycle delays.
-func (n *Network) TraverseHook(input int, afterNode func(id topo.NodeID)) int64 {
-	p := n.g.Input(input)
-	for {
-		id := p.Node
-		if b := n.balancers[id]; b != nil {
-			out := b.Traverse()
-			if afterNode != nil {
-				afterNode(id)
+// walk is the one traversal loop: it routes a token from input through
+// the plan and returns the counter value and, when pr records spans, the
+// last span id. A nil probe reads no clock and calls no hook.
+//
+// A token holds at most one toggle lock at a time and mcs.Node may be
+// reused once Release returns, so one queue node serves the whole walk.
+func (n *Network) walk(input int, pr *probe) (int64, uint64) {
+	var node *mcs.Node
+	if n.locked {
+		node = n.pool.Get()
+	}
+	for id := n.entry[input]; ; {
+		s := &n.steps[id]
+		var t0 int64
+		if pr != nil {
+			t0 = pr.enter(id)
+		}
+		var out int64
+		switch s.kind {
+		case stepCell:
+			if node != nil {
+				out = n.cells[s.at].lockedToggle(node)
+			} else {
+				out = n.cells[s.at].fetchToggle()
 			}
-			p = n.g.OutDest(id, out)
-			continue
+		case stepPlug:
+			out = int64(n.plugs[s.at].Traverse())
+		default:
+			v := int64(s.at) + n.w*(n.counters[s.at].v.Add(1)-1)
+			if node != nil {
+				n.pool.Put(node)
+			}
+			if pr == nil {
+				return v, 0
+			}
+			return v, pr.leave(id, t0, v)
 		}
-		idx := n.g.CounterIndex(id)
-		a := n.counters[idx].v.Add(1) - 1
-		if afterNode != nil {
-			afterNode(id)
+		if pr != nil {
+			pr.leave(id, t0, -1)
 		}
-		return int64(idx) + n.w*a
+		id = n.next[s.next+int32(out)]
 	}
 }
 

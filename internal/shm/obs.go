@@ -53,18 +53,20 @@ func (n *Network) EnableObs(tr obs.Tracer, reg *obs.Registry, clock func() int64
 		o.tog = reg.Histogram("shm_tog_wait_ns")
 		o.ratio = reg.Ratio("shm_avg_c2c1", effW)
 		o.fai = reg.Counter("shm_counter_fai_total")
-		o.depth = make([]*obs.Gauge, len(n.balancers))
+		o.depth = make([]*obs.Gauge, len(n.steps))
 		var prisms int64
 		for _, id := range n.g.Balancers() {
 			o.depth[id] = reg.Gauge(fmt.Sprintf("shm_bal%03d_depth", id))
-			if _, ok := n.balancers[id].(*Diffracting); ok {
+		}
+		for _, b := range n.plugs {
+			if _, ok := b.(*Diffracting); ok {
 				prisms++
 			}
 		}
 		if prisms > 0 {
 			reg.GaugeFunc("shm_prism_cas_retries_total", func() float64 {
 				var total int64
-				for _, b := range n.balancers {
+				for _, b := range n.plugs {
 					if d, ok := b.(*Diffracting); ok {
 						total += d.Retries()
 					}
@@ -87,39 +89,60 @@ func (n *Network) SpanClock() *obs.Clock {
 	return n.obs.spans
 }
 
-// TraverseObs routes one token like Traverse while recording per-node
-// trace events and metrics under the identity (proc, tok). It falls back
-// to the untraced path when EnableObs was not called. afterNode mirrors
-// TraverseHook's delay-injection callback.
-func (n *Network) TraverseObs(input int, proc, tok int32, afterNode func(id topo.NodeID)) int64 {
-	v, _ := n.TraverseSpan(input, proc, tok, 0, afterNode)
-	return v
+// TraverseSpan routes one token like Traverse, running the same walk with
+// a probe. afterNode, when non-nil, is called after every node transition
+// (balancers and the final counter, in path order); the stress driver uses
+// it to inject the paper's W-cycle delays. When EnableObs was called, every
+// hop also records trace events and metrics under the identity (proc, tok),
+// and each recorded hop gets a span id from the network's Clock, chained
+// parent → child along the token's path starting from parent (0 for a
+// root). It returns the counter value and the last span id (0 when tracing
+// is off), which the caller chains its exit event — or the token's next
+// traversal — onto.
+func (n *Network) TraverseSpan(input int, proc, tok int32, parent uint64, afterNode func(id topo.NodeID)) (int64, uint64) {
+	if n.obs == nil && afterNode == nil {
+		return n.walk(input, nil)
+	}
+	pr := probe{o: n.obs, hook: afterNode, proc: proc, tok: tok}
+	if pr.o != nil && pr.o.tr != nil {
+		pr.span = parent
+	}
+	return n.walk(input, &pr)
 }
 
-// TraverseSpan is TraverseObs with causal stamping: every recorded hop
-// gets a span id from the network's Clock, chained parent → child along
-// the token's path starting from parent (0 for a root). It returns the
-// counter value and the last span id (0 when tracing is off), which the
-// caller chains its exit event — or the token's next traversal — onto.
-func (n *Network) TraverseSpan(input int, proc, tok int32, parent uint64, afterNode func(id topo.NodeID)) (int64, uint64) {
-	o := n.obs
+// probe is what a TraverseSpan walk does at each node besides routing
+// the token: time and record the hop when o is set, then call hook.
+type probe struct {
+	o         *netObs // nil when EnableObs was not called
+	hook      func(id topo.NodeID)
+	proc, tok int32
+	span      uint64 // last recorded span id
+}
+
+// enter starts a hop at node id and returns its start time.
+//
+//countnet:coldpath -- only TraverseSpan walks carry a probe
+func (pr *probe) enter(id int32) int64 {
+	o := pr.o
 	if o == nil {
-		return n.TraverseHook(input, afterNode), 0
+		return 0
 	}
-	span := uint64(0)
-	if o.tr != nil {
-		span = parent
+	if o.depth != nil && o.depth[id] != nil {
+		o.depth[id].Add(1)
 	}
-	p := n.g.Input(input)
-	for {
-		id := p.Node
-		if b := n.balancers[id]; b != nil {
-			t0 := o.clock()
-			if o.depth != nil {
-				o.depth[id].Add(1)
-			}
-			out := b.Traverse()
-			t1 := o.clock()
+	return o.clock()
+}
+
+// leave ends the hop at node id begun at t0 — a toggle when v is -1, else
+// the counter draw of value v — and returns the token's last span id.
+//
+//countnet:coldpath -- only TraverseSpan walks carry a probe
+func (pr *probe) leave(id int32, t0, v int64) uint64 {
+	if o := pr.o; o != nil {
+		t1 := o.clock()
+		kind := obs.KindCounter
+		if v < 0 {
+			kind = obs.KindBalancer
 			if o.depth != nil {
 				o.depth[id].Add(-1)
 			}
@@ -127,39 +150,20 @@ func (n *Network) TraverseSpan(input int, proc, tok int32, parent uint64, afterN
 				o.tog.Observe(t1 - t0)
 				o.ratio.Observe(t1 - t0)
 			}
-			if o.tr != nil {
-				sp := o.spans.Tick()
-				o.tr.Record(obs.Event{T: t1, Dur: t1 - t0, Kind: obs.KindBalancer,
-					P: proc, Tok: tok, Node: int32(id), Value: -1,
-					Span: sp, Parent: span})
-				span = sp
-			}
-			if afterNode != nil {
-				afterNode(id)
-			}
-			p = n.g.OutDest(id, out)
-			continue
-		}
-		idx := n.g.CounterIndex(id)
-		t0 := o.clock()
-		a := n.counters[idx].v.Add(1) - 1
-		t1 := o.clock()
-		v := int64(idx) + n.w*a
-		if o.fai != nil {
+		} else if o.fai != nil {
 			o.fai.Inc()
 		}
 		if o.tr != nil {
 			sp := o.spans.Tick()
-			o.tr.Record(obs.Event{T: t1, Dur: t1 - t0, Kind: obs.KindCounter,
-				P: proc, Tok: tok, Node: int32(id), Value: v,
-				Span: sp, Parent: span})
-			span = sp
+			o.tr.Record(obs.Event{T: t1, Dur: t1 - t0, Kind: kind, P: pr.proc, Tok: pr.tok,
+				Node: id, Value: v, Span: sp, Parent: pr.span})
+			pr.span = sp
 		}
-		if afterNode != nil {
-			afterNode(id)
-		}
-		return v, span
 	}
+	if pr.hook != nil {
+		pr.hook(topo.NodeID(id))
+	}
+	return pr.span
 }
 
 // Retries returns how many prism CAS races this balancer has lost.

@@ -28,8 +28,14 @@ type Queue[T any] struct {
 	deq   *shm.Network
 	cells []cell[T]
 	cap   int64
+	// The input cursors are written on every call, enqIn by producers and
+	// deqIn by consumers, so each sits on its own cache line, away from
+	// the read-only fields above and from each other.
+	_     [56]byte
 	enqIn atomic.Int64
+	_     [56]byte
 	deqIn atomic.Int64
+	_     [56]byte
 }
 
 // cell is one ring slot. turn advances 2 per generation: 2g means "empty,

@@ -195,6 +195,13 @@ func TestCompileValidation(t *testing.T) {
 	if _, err := Compile(nil, Options{}); err == nil {
 		t.Error("nil graph accepted")
 	}
+	g, err := bitonic.New(4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Compile(g, Options{Kind: Kind(99)}); err == nil {
+		t.Error("unknown toggle kind accepted")
+	}
 }
 
 func TestStressBasic(t *testing.T) {

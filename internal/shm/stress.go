@@ -54,7 +54,7 @@ type StressConfig struct {
 
 // Front is a pluggable counting front-end for the stress driver: Next
 // draws one value for the token (proc, tok) entering at the given input
-// wire, invoking afterNode per visited node exactly like TraverseHook,
+// wire, invoking afterNode per visited node exactly like TraverseSpan,
 // and the values handed out across a run must form the same gapless
 // sequence a direct traversal would produce. Defined here — not in the
 // front-end's own package — so shm never imports its front-ends.
@@ -159,13 +159,10 @@ func Stress(cfg StressConfig) (*StressResult, error) {
 				// when this worker traversed the network itself, the enter
 				// event when a front-end served the token.
 				last := parent
-				switch {
-				case cfg.Front != nil:
+				if cfg.Front != nil {
 					v = cfg.Front.Next(input, int32(wkr), tok, hook)
-				case observed:
+				} else {
 					v, last = cfg.Net.TraverseSpan(input, int32(wkr), tok, parent, hook)
-				default:
-					v = cfg.Net.TraverseHook(input, hook)
 				}
 				end := clock()
 				if observed && cfg.Tracer != nil {
