@@ -116,6 +116,21 @@ func TestDiffractingTreeCounter(t *testing.T) {
 	checkCounter(t, "diffracting-tree", ctr, 8, 250)
 }
 
+// TestDiffractionValidation checks that a negative prism width or window
+// is rejected even on a tree with no two-output balancer to put a prism on.
+func TestDiffractionValidation(t *testing.T) {
+	tp, err := TreeTopologyArity(16, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := NewCounter(tp, WithDiffraction(4, -time.Microsecond)); err == nil {
+		t.Error("negative prism window accepted")
+	}
+	if _, err := NewCounter(tp, WithDiffraction(-1, time.Microsecond)); err == nil {
+		t.Error("negative prism width accepted")
+	}
+}
+
 // checkCounter draws values from several goroutines and verifies the
 // permutation property and quiescent step property.
 func checkCounter(t *testing.T, name string, ctr *Counter, workers, perWorker int) {

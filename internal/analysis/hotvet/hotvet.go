@@ -20,8 +20,8 @@
 //     interfaces declared outside the program, or with no loaded
 //     implementation. Calls through program-declared interfaces are
 //     devirtualized — every loaded implementation is walked instead, so
-//     `Balancer.Traverse` is checked through each toggle kind rather
-//     than flagged.
+//     such a call is checked through each implementation rather than
+//     flagged.
 //
 // The walk stops at functions marked //countnet:coldpath (a sampled
 // controller, a switch slow path — the annotation is the reviewed

@@ -1,27 +1,20 @@
 // Package shm is the real shared-memory runtime for balancing networks:
-// goroutine-safe balancers (atomic, mutex, and MCS-queue-lock toggles, plus
-// prism-diffracting balancers), compiled networks that goroutines traverse
-// directly, and a stress driver with delay injection and real-time
-// linearizability monitoring. It is the goroutines-as-processors
-// counterpart of the cycle-level simulator in internal/sim.
+// any topology compiled into a flat plan whose balancers are goroutine-safe
+// toggle cells (atomic, mutex, or MCS-queue-lock toggles, optionally behind
+// a diffracting prism), walked directly by goroutines, and a stress driver
+// with delay injection and real-time linearizability monitoring. It is the
+// goroutines-as-processors counterpart of the cycle-level simulator in
+// internal/sim.
 package shm
 
 import (
 	"fmt"
-	"math/rand"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"countnet/internal/shm/mcs"
 	"countnet/internal/shm/prism"
 )
-
-// Balancer routes one token to an output port, preserving the step property
-// on the node's outputs. Implementations are safe for concurrent use.
-type Balancer interface {
-	Traverse() int
-}
 
 // Kind selects a toggle implementation.
 type Kind int
@@ -51,34 +44,21 @@ func (k Kind) String() string {
 	}
 }
 
-// NewBalancer returns a balancer of the given kind with fanOut outputs.
-func NewBalancer(k Kind, fanOut int) (Balancer, error) {
-	if fanOut < 1 {
-		return nil, fmt.Errorf("shm: balancer fanOut %d", fanOut)
-	}
-	switch k {
-	case KindAtomic:
-		return &atomicBalancer{c: cell{fanOut: int64(fanOut)}}, nil
-	case KindMutex:
-		return &mutexBalancer{fanOut: fanOut}, nil
-	case KindMCS:
-		return &mcsBalancer{c: cell{fanOut: int64(fanOut)}}, nil
-	default:
-		return nil, fmt.Errorf("shm: unknown balancer kind %d", int(k))
-	}
-}
-
-// cell is one toggle on its own cache line: an MCS lock and the toggle it
-// guards, or KindAtomic's fetch-and-add ticket. A compiled network keeps
-// its toggles in one []cell. The hot fields fill the first 32 of 64 bytes,
-// so they keep a line of their own when Go starts the slice on a line or 8
-// bytes past one, after its malloc header (TestPlanMatchesSequential checks).
+// cell is one balancer on its own cache line: its toggle, guarded by the
+// MCS lock or the mutex by Kind or drawn from KindAtomic's fetch-and-add
+// ticket, and on a diffracting two-output balancer the prism in front of
+// it. A compiled network keeps its balancers in one []cell. The hot fields
+// fill the first 48 of 64 bytes, so they keep a line of their own when Go
+// starts the slice on a line or 8 bytes past one, after its malloc header
+// (TestPlanMatchesSequential checks).
 type cell struct {
 	lock   mcs.Lock
-	toggle int64 // guarded by lock
+	toggle int64 // guarded by lock or mu
 	ticket atomic.Int64
 	fanOut int64
-	_      [32]byte
+	mu     sync.Mutex
+	prism  *prism.Prism // nil unless the balancer diffracts
+	_      [16]byte
 }
 
 // lockedToggle advances the toggle in an MCS critical section entered
@@ -98,91 +78,14 @@ func (c *cell) fetchToggle() int64 {
 	return (c.ticket.Add(1) - 1) % c.fanOut
 }
 
-// atomicBalancer distributes tokens round-robin with one fetch-and-add.
-type atomicBalancer struct{ c cell }
-
-func (b *atomicBalancer) Traverse() int { return int(b.c.fetchToggle()) }
-
-// mutexBalancer is the textbook toggle under a mutex.
-type mutexBalancer struct {
-	mu     sync.Mutex
-	toggle int
-	fanOut int
-}
-
-func (b *mutexBalancer) Traverse() int {
+// mutexToggle advances the toggle under the mutex, the textbook balancer.
+func (c *cell) mutexToggle() int64 {
 	//countnet:allow hotvet -- KindMutex is the deliberately blocking textbook toggle, kept as the measurement baseline
-	b.mu.Lock()
-	out := b.toggle
-	b.toggle = (b.toggle + 1) % b.fanOut
-	b.mu.Unlock()
+	c.mu.Lock()
+	out := c.toggle
+	if c.toggle++; c.toggle == c.fanOut {
+		c.toggle = 0
+	}
+	c.mu.Unlock()
 	return out
 }
-
-// mcsBalancer is a standalone MCS-locked toggle with its own node pool.
-type mcsBalancer struct {
-	c    cell
-	pool mcs.Pool
-}
-
-func (b *mcsBalancer) Traverse() int {
-	n := b.pool.Get()
-	out := b.c.lockedToggle(n)
-	b.pool.Put(n)
-	return int(out)
-}
-
-// Diffracting wraps a two-output toggle with a prism: concurrent pairs
-// collide in the prism and leave on complementary outputs without touching
-// the toggle (Shavit-Zemach diffraction).
-type Diffracting struct {
-	prism  *prism.Prism
-	window time.Duration
-	inner  Balancer
-	rngs   sync.Pool
-	seed   atomic.Int64
-}
-
-// NewDiffracting returns a diffracting balancer over the given two-output
-// toggle. prismWidth is the number of exchanger slots; window how long a
-// token waits for a partner before falling back to the toggle.
-func NewDiffracting(inner Balancer, prismWidth int, window time.Duration) (*Diffracting, error) {
-	if inner == nil {
-		return nil, fmt.Errorf("shm: nil inner balancer")
-	}
-	if window <= 0 {
-		return nil, fmt.Errorf("shm: non-positive prism window %v", window)
-	}
-	d := &Diffracting{
-		prism:  prism.New(prismWidth),
-		window: window,
-		inner:  inner,
-	}
-	d.rngs.New = func() any {
-		return rand.New(rand.NewSource(d.seed.Add(1) * 0x9e3779b9))
-	}
-	return d, nil
-}
-
-// Traverse implements Balancer.
-func (d *Diffracting) Traverse() int {
-	rng, _ := d.rngs.Get().(*rand.Rand)
-	out := d.prism.Exchange(d.window, rng)
-	d.rngs.Put(rng)
-	switch out {
-	case prism.First:
-		return 0
-	case prism.Second:
-		return 1
-	default:
-		return d.inner.Traverse()
-	}
-}
-
-// Interface compliance.
-var (
-	_ Balancer = (*atomicBalancer)(nil)
-	_ Balancer = (*mutexBalancer)(nil)
-	_ Balancer = (*mcsBalancer)(nil)
-	_ Balancer = (*Diffracting)(nil)
-)

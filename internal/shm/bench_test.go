@@ -41,7 +41,7 @@ func BenchmarkDTree32(b *testing.B) {
 		b.Fatal(err)
 	}
 	for _, diffract := range []bool{false, true} {
-		n, err := Compile(g, Options{Kind: kindFor(diffract), Diffract: diffract, PrismWindow: 2 * time.Microsecond})
+		n, err := Compile(g, Options{Kind: KindMCS, Diffract: diffract, PrismWindow: 2 * time.Microsecond})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -53,37 +53,21 @@ func BenchmarkDTree32(b *testing.B) {
 	}
 }
 
-func kindFor(bool) Kind { return KindMCS }
-
+// BenchmarkBalancers is rung 1 of the layer ladder: one balancer of each
+// toggle configuration, compiled as a one-balancer network, so every
+// token also pays the output counter's fetch-and-add.
 func BenchmarkBalancers(b *testing.B) {
-	for _, kind := range []Kind{KindAtomic, KindMutex, KindMCS} {
-		bal, err := NewBalancer(kind, 2)
+	g, err := dtree.New(2)
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, name := range []string{"atomic", "mutex", "mcs", "diffracting"} {
+		n, err := Compile(g, oneBalancer[name])
 		if err != nil {
 			b.Fatal(err)
 		}
-		b.Run(kind.String(), func(b *testing.B) {
-			b.RunParallel(func(pb *testing.PB) {
-				for pb.Next() {
-					bal.Traverse()
-				}
-			})
-		})
+		b.Run(name, func(b *testing.B) { benchNetwork(b, n) })
 	}
-	inner, err := NewBalancer(KindMCS, 2)
-	if err != nil {
-		b.Fatal(err)
-	}
-	d, err := NewDiffracting(inner, 8, 2*time.Microsecond)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.Run("diffracting", func(b *testing.B) {
-		b.RunParallel(func(pb *testing.PB) {
-			for pb.Next() {
-				d.Traverse()
-			}
-		})
-	})
 }
 
 // BenchmarkWalk is rung 2 of the layer ladder: one network walk on

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"countnet/internal/shm/mcs"
+	"countnet/internal/shm/prism"
 	"countnet/internal/topo"
 )
 
@@ -33,13 +34,13 @@ type stepKind uint8
 
 const (
 	stepCounter stepKind = iota // fetch-and-add on counters[at]; the walk ends
-	stepCell                    // the toggle in cells[at], of the network's Kind
-	stepPlug                    // plugs[at].Traverse(): mutex and prism balancers
+	stepCell                    // cells[at]'s atomic or MCS toggle, inline
+	stepWait                    // cells[at] may park or wait: mutex or prism
 )
 
 // step is one node of the compiled plan, indexed by its topo.NodeID.
 type step struct {
-	at   int32 // index into counters, cells or plugs, by kind
+	at   int32 // index into counters or cells, by kind
 	next int32 // offset of a balancer's successors in Network.next
 	kind stepKind
 }
@@ -50,20 +51,20 @@ type step struct {
 // step-property-consistent values.
 //
 // The compiled plan is flat: an entry table maps each input to its first
-// step, and each step names its toggle (or output counter) and where its
-// successors start in one next table, indexed by output port. Toggles and
-// output counters each sit on their own cache line.
+// step, and each step names its balancer cell (or output counter) and
+// where its successors start in one next table, indexed by output port.
+// Cells and output counters each sit on their own cache line.
 type Network struct {
 	g        *topo.Graph
 	entry    []int32
 	steps    []step
 	next     []int32
 	cells    []cell
-	plugs    []Balancer
 	counters []paddedCounter
 	w        int64
-	locked   bool    // cells are MCS-locked, so walks carry a queue node
-	obs      *netObs // nil until EnableObs; read-only afterwards
+	kind     Kind
+	window   time.Duration // prism partner wait
+	obs      *netObs       // nil until EnableObs; read-only afterwards
 	_        [64]byte
 	pool     mcs.Pool // read by every walk, so on a line of its own
 	_        [64]byte
@@ -80,6 +81,12 @@ func Compile(g *topo.Graph, opts Options) (*Network, error) {
 	if opts.Kind < KindAtomic || opts.Kind > KindMCS {
 		return nil, fmt.Errorf("shm: unknown balancer kind %d", int(opts.Kind))
 	}
+	if opts.PrismWidth < 0 {
+		return nil, fmt.Errorf("shm: negative prism width %d", opts.PrismWidth)
+	}
+	if opts.PrismWindow < 0 {
+		return nil, fmt.Errorf("shm: negative prism window %v", opts.PrismWindow)
+	}
 	if opts.PrismWidth == 0 {
 		opts.PrismWidth = 4
 	}
@@ -93,6 +100,8 @@ func Compile(g *topo.Graph, opts Options) (*Network, error) {
 		cells:    make([]cell, 0, g.NumBalancers()),
 		counters: make([]paddedCounter, g.OutWidth()),
 		w:        int64(g.OutWidth()),
+		kind:     opts.Kind,
+		window:   opts.PrismWindow,
 	}
 	for i := range n.entry {
 		n.entry[i] = int32(g.Input(i).Node)
@@ -108,24 +117,17 @@ func Compile(g *topo.Graph, opts Options) (*Network, error) {
 		for p := 0; p < fanOut; p++ {
 			n.next = append(n.next, int32(g.OutDest(id, p).Node))
 		}
-		diffract := opts.Diffract && fanOut == 2
-		if !diffract && opts.Kind != KindMutex {
-			s.kind, s.at = stepCell, int32(len(n.cells))
-			n.cells = n.cells[:len(n.cells)+1]
-			n.cells[s.at].fanOut = int64(fanOut)
-			continue
+		s.kind, s.at = stepCell, int32(len(n.cells))
+		n.cells = n.cells[:len(n.cells)+1]
+		c := &n.cells[s.at]
+		c.fanOut = int64(fanOut)
+		if opts.Diffract && fanOut == 2 {
+			c.prism = prism.New(opts.PrismWidth)
 		}
-		b, err := NewBalancer(opts.Kind, fanOut)
-		if err == nil && diffract {
-			b, err = NewDiffracting(b, opts.PrismWidth, opts.PrismWindow)
+		if c.prism != nil || opts.Kind == KindMutex {
+			s.kind = stepWait
 		}
-		if err != nil {
-			return nil, err
-		}
-		s.kind, s.at = stepPlug, int32(len(n.plugs))
-		n.plugs = append(n.plugs, b)
 	}
-	n.locked = opts.Kind == KindMCS && len(n.cells) > 0
 	return n, nil
 }
 
@@ -155,7 +157,7 @@ func (n *Network) Traverse(input int) int64 {
 // reused once Release returns, so one queue node serves the whole walk.
 func (n *Network) walk(input int, pr *probe) (int64, uint64) {
 	var node *mcs.Node
-	if n.locked {
+	if n.kind == KindMCS {
 		node = n.pool.Get()
 	}
 	for id := n.entry[input]; ; {
@@ -172,8 +174,8 @@ func (n *Network) walk(input int, pr *probe) (int64, uint64) {
 			} else {
 				out = n.cells[s.at].fetchToggle()
 			}
-		case stepPlug:
-			out = int64(n.plugs[s.at].Traverse())
+		case stepWait:
+			out = n.waitToggle(&n.cells[s.at], node)
 		default:
 			v := int64(s.at) + n.w*(n.counters[s.at].v.Add(1)-1)
 			if node != nil {
@@ -188,6 +190,28 @@ func (n *Network) walk(input int, pr *probe) (int64, uint64) {
 			pr.leave(id, t0, -1)
 		}
 		id = n.next[s.next+int32(out)]
+	}
+}
+
+// waitToggle routes a token through a mutex or diffracting cell: it tries
+// the prism, if the cell has one, and on Timeout falls back to the cell's
+// toggle of the network's Kind. An MCS walk locks with its queue node.
+func (n *Network) waitToggle(c *cell, node *mcs.Node) int64 {
+	if c.prism != nil {
+		switch c.prism.Exchange(n.window) {
+		case prism.First:
+			return 0
+		case prism.Second:
+			return 1
+		}
+	}
+	switch n.kind {
+	case KindMutex:
+		return c.mutexToggle()
+	case KindMCS:
+		return c.lockedToggle(node)
+	default:
+		return c.fetchToggle()
 	}
 }
 

@@ -54,28 +54,28 @@ func (n *Network) EnableObs(tr obs.Tracer, reg *obs.Registry, clock func() int64
 		o.ratio = reg.Ratio("shm_avg_c2c1", effW)
 		o.fai = reg.Counter("shm_counter_fai_total")
 		o.depth = make([]*obs.Gauge, len(n.steps))
-		var prisms int64
 		for _, id := range n.g.Balancers() {
 			o.depth[id] = reg.Gauge(fmt.Sprintf("shm_bal%03d_depth", id))
 		}
-		for _, b := range n.plugs {
-			if _, ok := b.(*Diffracting); ok {
-				prisms++
+		for i := range n.cells {
+			if n.cells[i].prism != nil {
+				reg.GaugeFunc("shm_prism_cas_retries_total", n.prismRetries)
+				break
 			}
-		}
-		if prisms > 0 {
-			reg.GaugeFunc("shm_prism_cas_retries_total", func() float64 {
-				var total int64
-				for _, b := range n.plugs {
-					if d, ok := b.(*Diffracting); ok {
-						total += d.Retries()
-					}
-				}
-				return float64(total)
-			})
 		}
 	}
 	n.obs = o
+}
+
+// prismRetries sums the CAS races lost in every cell's prism.
+func (n *Network) prismRetries() float64 {
+	var total int64
+	for i := range n.cells {
+		if p := n.cells[i].prism; p != nil {
+			total += p.Retries()
+		}
+	}
+	return float64(total)
 }
 
 // SpanClock returns the causal span clock tracing draws ids from, or nil
@@ -165,6 +165,3 @@ func (pr *probe) leave(id int32, t0, v int64) uint64 {
 	}
 	return pr.span
 }
-
-// Retries returns how many prism CAS races this balancer has lost.
-func (d *Diffracting) Retries() int64 { return d.prism.Retries() }

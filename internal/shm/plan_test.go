@@ -15,7 +15,7 @@ import (
 )
 
 // planNets are the topologies the compiled plan is checked on: both
-// butterfly families, trees of fan-out 2 and 4, and a Corollary 3.12
+// butterfly families, trees of fan-out 2, 3 and 4, and a Corollary 3.12
 // padded network, whose one-output pass-through balancers the plan must
 // route like any other.
 func planNets(t *testing.T) map[string]*topo.Graph {
@@ -39,14 +39,16 @@ func planNets(t *testing.T) map[string]*topo.Graph {
 		g, err := dtree.NewArity(16, a)
 		add(fmt.Sprintf("dtree16a%d", a), g, err)
 	}
+	g3, err := dtree.NewArity(9, 3)
+	add("dtree9a3", g3, err)
 	b8 := nets["bitonic8"]
 	g, err := topo.Pad(b8, core.PaddingLength(b8.Depth(), 4))
 	add("bitonic8pad4", g, err)
 	return nets
 }
 
-// planKinds are the toggle configurations: the two in-plan cells and the
-// two plug-ins.
+// planKinds are the toggle configurations: the two inline cells (atomic,
+// MCS) and the two waiting ones (mutex, and MCS behind a prism).
 var planKinds = map[string]Options{
 	"atomic":   {Kind: KindAtomic},
 	"mutex":    {Kind: KindMutex},
@@ -99,12 +101,12 @@ func TestPlanMatchesSequential(t *testing.T) {
 }
 
 // sharedLine returns the first cell whose hot fields (lock through
-// fanOut) do not sit on one 64-byte line of their own, or -1.
+// prism) do not sit on one 64-byte line of their own, or -1.
 func sharedLine(cells []cell) int {
 	line := func(p unsafe.Pointer) uintptr { return uintptr(p) / 64 }
 	for i := range cells {
-		first, last := line(unsafe.Pointer(&cells[i].lock)), line(unsafe.Pointer(&cells[i].fanOut))
-		if first != last || i > 0 && line(unsafe.Pointer(&cells[i-1].fanOut)) == first {
+		first, last := line(unsafe.Pointer(&cells[i].lock)), line(unsafe.Pointer(&cells[i].prism))
+		if first != last || i > 0 && line(unsafe.Pointer(&cells[i-1].prism)) == first {
 			return i
 		}
 	}

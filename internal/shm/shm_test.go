@@ -2,6 +2,7 @@ package shm
 
 import (
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -9,22 +10,6 @@ import (
 	"countnet/internal/dtree"
 	"countnet/internal/topo"
 )
-
-func TestNewBalancerValidation(t *testing.T) {
-	if _, err := NewBalancer(KindAtomic, 0); err == nil {
-		t.Error("fanOut 0 accepted")
-	}
-	if _, err := NewBalancer(Kind(99), 2); err == nil {
-		t.Error("unknown kind accepted")
-	}
-	if _, err := NewDiffracting(nil, 4, time.Microsecond); err == nil {
-		t.Error("nil inner accepted")
-	}
-	b, _ := NewBalancer(KindAtomic, 2)
-	if _, err := NewDiffracting(b, 4, 0); err == nil {
-		t.Error("zero window accepted")
-	}
-}
 
 func TestKindString(t *testing.T) {
 	for k, want := range map[Kind]string{KindAtomic: "atomic", KindMutex: "mutex", KindMCS: "mcs"} {
@@ -34,72 +19,46 @@ func TestKindString(t *testing.T) {
 	}
 }
 
-// TestBalancerStepProperty hammers each balancer implementation and checks
-// the quiescent step property on its outputs.
+// oneBalancer are the toggle configurations TestBalancerStepProperty and
+// BenchmarkBalancers run on a one-balancer network, keyed by the
+// sub-benchmark names.
+var oneBalancer = map[string]Options{
+	"atomic":      {Kind: KindAtomic},
+	"mutex":       {Kind: KindMutex},
+	"mcs":         {Kind: KindMCS},
+	"diffracting": {Kind: KindMCS, Diffract: true, PrismWidth: 8, PrismWindow: 2 * time.Microsecond},
+}
+
+// TestBalancerStepProperty hammers a one-balancer network of each toggle
+// configuration and checks the values are gapless and the balancer's
+// outputs satisfy the step property at quiescence.
 func TestBalancerStepProperty(t *testing.T) {
 	const goroutines = 8
 	const iters = 2000
-	mk := func(t *testing.T, kind Kind, diffract bool) Balancer {
-		t.Helper()
-		b, err := NewBalancer(kind, 2)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if diffract {
-			if b, err = NewDiffracting(b, 4, 2*time.Microsecond); err != nil {
-				t.Fatal(err)
-			}
-		}
-		return b
-	}
-	for name, b := range map[string]Balancer{
-		"atomic":      mk(t, KindAtomic, false),
-		"mutex":       mk(t, KindMutex, false),
-		"mcs":         mk(t, KindMCS, false),
-		"diffracting": mk(t, KindMCS, true),
-	} {
-		counts := make([]int64, goroutines)
-		var wg sync.WaitGroup
-		for g := 0; g < goroutines; g++ {
-			wg.Add(1)
-			go func(g int) {
-				defer wg.Done()
-				for i := 0; i < iters; i++ {
-					out := b.Traverse()
-					if out == 0 {
-						counts[g]++
-					} else if out != 1 {
-						t.Errorf("%s: output %d out of range", name, out)
-						return
-					}
-				}
-			}(g)
-		}
-		wg.Wait()
-		var zeros int64
-		for _, c := range counts {
-			zeros += c
-		}
-		total := int64(goroutines * iters)
-		diff := zeros - (total - zeros)
-		if diff < 0 || diff > 1 {
-			t.Errorf("%s: port counts %d/%d violate the step property", name, zeros, total-zeros)
-		}
-	}
-}
-
-func TestBalancerFanOutN(t *testing.T) {
-	b, err := NewBalancer(KindAtomic, 3)
+	g, err := dtree.New(2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	counts := make([]int, 3)
-	for i := 0; i < 9; i++ {
-		counts[b.Traverse()]++
-	}
-	for p, c := range counts {
-		if c != 3 {
-			t.Errorf("port %d count %d", p, c)
+	for name, opts := range oneBalancer {
+		n := compile(t, g, opts)
+		seen := make([]atomic.Bool, goroutines*iters)
+		var wg sync.WaitGroup
+		for w := 0; w < goroutines; w++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for i := 0; i < iters; i++ {
+					v := n.Traverse(0)
+					if v < 0 || v >= int64(len(seen)) || seen[v].Swap(true) {
+						t.Errorf("%s: value %d out of range or repeated", name, v)
+						return
+					}
+				}
+			}()
+		}
+		wg.Wait()
+		if counts := n.CounterCounts(); !topo.StepPropertyHolds(counts) {
+			t.Errorf("%s: port counts %v violate the step property", name, counts)
 		}
 	}
 }
@@ -201,6 +160,24 @@ func TestCompileValidation(t *testing.T) {
 	}
 	if _, err := Compile(g, Options{Kind: Kind(99)}); err == nil {
 		t.Error("unknown toggle kind accepted")
+	}
+	if _, err := Compile(g, Options{Kind: Kind(-1)}); err == nil {
+		t.Error("negative toggle kind accepted")
+	}
+	// An arity-4 tree has no two-output balancer, so no prism is built;
+	// the options are rejected all the same.
+	tree, err := dtree.NewArity(16, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, opts := range []Options{
+		{Diffract: true, PrismWidth: -1},
+		{Diffract: true, PrismWindow: -time.Microsecond},
+		{PrismWindow: -time.Microsecond},
+	} {
+		if _, err := Compile(tree, opts); err == nil {
+			t.Errorf("options accepted: %+v", opts)
+		}
 	}
 }
 
