@@ -212,11 +212,7 @@ func NewCounter(t Topology, opts ...CounterOption) (*Counter, error) {
 // Values across all goroutines form a permutation of 0, 1, 2, ...; see the
 // package comment for the exact ordering guarantees.
 func (c *Counter) Next() int64 {
-	in := int(c.next.Add(1)-1) % c.net.InWidth()
-	if in < 0 {
-		in += c.net.InWidth()
-	}
-	return c.net.Traverse(in)
+	return c.net.Traverse(int(uint64(c.next.Add(1)-1) % uint64(c.net.InWidth())))
 }
 
 // NextAt draws the next value entering at a specific network input, which

@@ -11,8 +11,10 @@ import (
 	"sync/atomic"
 )
 
-// Node is one waiter's queue cell. A Node may be reused after Release
-// returns; use a Pool to amortize allocation.
+// Node is one waiter's queue cell. A Node that is not queued has
+// next == nil: the zero Node starts that way and Release restores it. A
+// Node may be reused after Release returns; use a Pool to amortize
+// allocation.
 type Node struct {
 	next   atomic.Pointer[Node]
 	locked atomic.Bool
@@ -25,21 +27,23 @@ type Lock struct {
 }
 
 // Acquire enters the critical section, spinning on n until the predecessor
-// hands the lock over. n must not be in use by another Acquire.
+// hands the lock over. n must not be in use by another Acquire. An
+// uncontended Acquire is one atomic swap on the lock's tail.
 //
-// Once Release(n) has returned, no other goroutine touches n again: the
-// successor, if any, was handed the lock through its own node, and the
-// lock's tail no longer names n. So a goroutine that holds at most one
-// lock at a time may reuse a single Node across any number of locks, in
-// any order; a compiled network's walk queues on one Node for every
-// toggle it passes.
+// Once Release(n) has returned, no other goroutine touches n again and
+// n.next is nil once more: the successor, if any, was handed the lock
+// through its own node, and the lock's tail no longer names n. So a
+// goroutine that holds at most one lock at a time may reuse a single
+// Node across any number of locks, in any order; a compiled network's
+// walk queues on one Node for every toggle it passes.
 func (l *Lock) Acquire(n *Node) {
-	n.next.Store(nil)
-	n.locked.Store(true)
 	pred := l.tail.Swap(n)
 	if pred == nil {
 		return
 	}
+	// The predecessor reaches n only through pred.next, so it cannot
+	// clear locked before this store; only the waiter reads locked.
+	n.locked.Store(true)
 	pred.next.Store(n)
 	for spins := 0; n.locked.Load(); spins++ {
 		if spins%64 == 63 {
@@ -49,15 +53,8 @@ func (l *Lock) Acquire(n *Node) {
 	}
 }
 
-// TryAcquire enters the critical section only if the lock is free,
-// returning whether it succeeded.
-func (l *Lock) TryAcquire(n *Node) bool {
-	n.next.Store(nil)
-	n.locked.Store(true)
-	return l.tail.CompareAndSwap(nil, n)
-}
-
-// Release leaves the critical section entered with n.
+// Release leaves the critical section entered with n, leaving n.next nil.
+// An uncontended Release is one compare-and-swap on the lock's tail.
 func (l *Lock) Release(n *Node) {
 	next := n.next.Load()
 	if next == nil {
@@ -75,6 +72,7 @@ func (l *Lock) Release(n *Node) {
 			}
 		}
 	}
+	n.next.Store(nil)
 	next.locked.Store(false)
 }
 

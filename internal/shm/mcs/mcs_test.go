@@ -1,6 +1,7 @@
 package mcs
 
 import (
+	"runtime"
 	"sync"
 	"testing"
 )
@@ -67,20 +68,73 @@ func TestNodeReuseAcrossLocks(t *testing.T) {
 	}
 }
 
-func TestTryAcquire(t *testing.T) {
-	var l Lock
-	a, b := new(Node), new(Node)
-	if !l.TryAcquire(a) {
-		t.Fatal("TryAcquire on a free lock failed")
-	}
-	if l.TryAcquire(b) {
-		t.Fatal("TryAcquire succeeded while held")
-	}
-	l.Release(a)
-	if !l.TryAcquire(b) {
-		t.Fatal("TryAcquire after Release failed")
-	}
-	l.Release(b)
+// TestReleaseLeavesNodeClean checks the invariant Acquire relies on: a
+// Node that is not queued has next == nil, on each of Release's three
+// paths, and the successor, if any, is handed the lock.
+func TestReleaseLeavesNodeClean(t *testing.T) {
+	t.Run("uncontended", func(t *testing.T) {
+		var l Lock
+		a := new(Node)
+		l.Acquire(a)
+		l.Release(a)
+		if a.next.Load() != nil || l.tail.Load() != nil {
+			t.Fatalf("after Release: a.next = %p, tail = %p, want both nil", a.next.Load(), l.tail.Load())
+		}
+	})
+
+	t.Run("handoff", func(t *testing.T) {
+		var l Lock
+		a, b := new(Node), new(Node)
+		l.Acquire(a)
+		acquired := make(chan struct{})
+		go func() {
+			l.Acquire(b)
+			close(acquired)
+		}()
+		for a.next.Load() != b {
+			runtime.Gosched()
+		}
+		l.Release(a)
+		if got := a.next.Load(); got != nil {
+			t.Fatalf("after hand-off Release: a.next = %p, want nil", got)
+		}
+		<-acquired
+		l.Release(b)
+		if b.next.Load() != nil || l.tail.Load() != nil {
+			t.Fatalf("after last Release: b.next = %p, tail = %p, want both nil", b.next.Load(), l.tail.Load())
+		}
+	})
+
+	// Release finds no successor linked but the tail moved on, so it
+	// spins for the link. With one P the linking goroutine runs only
+	// when Release yields from that spin.
+	t.Run("slow", func(t *testing.T) {
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+		var l Lock
+		a, b := new(Node), new(Node)
+		l.Acquire(a)
+		b.locked.Store(true)
+		if pred := l.tail.Swap(b); pred != a {
+			t.Fatalf("tail was %p, want a = %p", pred, a)
+		}
+		releasing := make(chan struct{})
+		go func() {
+			<-releasing
+			a.next.Store(b)
+		}()
+		close(releasing)
+		l.Release(a)
+		if got := a.next.Load(); got != nil {
+			t.Fatalf("after slow-path Release: a.next = %p, want nil", got)
+		}
+		if b.locked.Load() {
+			t.Fatal("successor still locked after Release")
+		}
+		l.Release(b)
+		if l.tail.Load() != nil {
+			t.Fatalf("after last Release: tail = %p, want nil", l.tail.Load())
+		}
+	})
 }
 
 func TestUncontendedSequence(t *testing.T) {

@@ -72,7 +72,7 @@ func New[T any](g *topo.Graph, capacity int, opts shm.Options) (*Queue[T], error
 
 // Enqueue appends v, blocking while the queue is full.
 func (q *Queue[T]) Enqueue(v T) {
-	t := q.enq.Traverse(int(q.enqIn.Add(1)-1) % q.enq.InWidth())
+	t := q.enq.Traverse(int(uint64(q.enqIn.Add(1)-1) % uint64(q.enq.InWidth())))
 	c := &q.cells[t%q.cap]
 	gen := t / q.cap
 	for spins := 0; c.turn.Load() != 2*gen; spins++ {
@@ -87,7 +87,7 @@ func (q *Queue[T]) Enqueue(v T) {
 // Dequeue removes and returns the oldest item, blocking while the queue is
 // empty.
 func (q *Queue[T]) Dequeue() T {
-	t := q.deq.Traverse(int(q.deqIn.Add(1)-1) % q.deq.InWidth())
+	t := q.deq.Traverse(int(uint64(q.deqIn.Add(1)-1) % uint64(q.deq.InWidth())))
 	c := &q.cells[t%q.cap]
 	gen := t / q.cap
 	for spins := 0; c.turn.Load() != 2*gen+1; spins++ {

@@ -109,11 +109,7 @@ func NewLinearizableCounter(t Topology, opts ...CounterOption) (*LinearizableCou
 // Next draws the next value; values are returned in exactly increasing
 // real-time order across all goroutines.
 func (c *LinearizableCounter) Next() int64 {
-	in := int(c.next.Add(1)-1) % c.in
-	if in < 0 {
-		in += c.in
-	}
-	return c.f.Traverse(in)
+	return c.f.Traverse(int(uint64(c.next.Add(1)-1) % uint64(c.in)))
 }
 
 // NextAt draws the next value entering at a specific network input.
