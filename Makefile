@@ -11,7 +11,7 @@ STATICCHECK_VERSION ?= 2025.1.1
 GOVULNCHECK_VERSION ?= v1.1.4
 LINT_STRICT ?=
 
-.PHONY: all build vet countnetvet escvet-selftest lint test race chaos bench clean
+.PHONY: all build vet countnetvet escvet-selftest lint test race chaos bench loc clean
 
 all: lint build test
 
@@ -95,6 +95,12 @@ bench:
 	$(GO) test -run '^$$' -bench . -benchmem ./internal/shm | $(GO) run ./cmd/benchfmt -o BENCH_shm.json
 	$(GO) test -run '^$$' -bench . -benchmem ./internal/shm/adaptive | $(GO) run ./cmd/benchfmt -o BENCH_adaptive.json
 	$(GO) test -run '^$$' -bench . -benchmem ./internal/obs | $(GO) run ./cmd/benchfmt -o BENCH_obs.json
+
+# loc prints the tracked non-test Go line count outside perfbench/ (the
+# size ROADMAP tracks) and the internal/shm subtotal.
+loc:
+	@echo "non-test Go: $$(git ls-files '*.go' | grep -v _test.go | grep -v '^perfbench/' | xargs cat | wc -l)"
+	@echo "internal/shm: $$(git ls-files 'internal/shm/*.go' | grep -v _test.go | xargs cat | wc -l)"
 
 clean:
 	rm -f BENCH_sim.json BENCH_shm.json BENCH_adaptive.json BENCH_obs.json chaos-plan.jsonl

@@ -28,7 +28,6 @@ import (
 	"math/rand"
 	"sync"
 	"testing"
-	"time"
 
 	"countnet/internal/lincheck"
 	"countnet/internal/schedule"
@@ -142,17 +141,12 @@ func BenchmarkThroughput(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	dt, err := NewCounter(tr, WithDiffraction(8, 2*time.Microsecond))
-	if err != nil {
-		b.Fatal(err)
-	}
 	dm, err := NewCounter(tr)
 	if err != nil {
 		b.Fatal(err)
 	}
 	mk("bitonic32/mcs", bc.Next)
 	mk("bitonic32/atomic", ba.Next)
-	mk("dtree32/prism", dt.Next)
 	mk("dtree32/mcs", dm.Next)
 
 	var mu sync.Mutex
@@ -353,11 +347,11 @@ func BenchmarkLinearizableFilter(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	bare, err := NewCounter(tp, WithDiffraction(8, 2*time.Microsecond))
+	bare, err := NewCounter(tp)
 	if err != nil {
 		b.Fatal(err)
 	}
-	filtered, err := NewLinearizableCounter(tp, WithDiffraction(8, 2*time.Microsecond))
+	filtered, err := NewLinearizableCounter(tp)
 	if err != nil {
 		b.Fatal(err)
 	}

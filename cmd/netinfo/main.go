@@ -140,7 +140,7 @@ func measureEngines(w io.Writer, net workload.NetKind, width int) error {
 	if err != nil {
 		return err
 	}
-	n, err := shm.Compile(g, shm.Options{Diffract: net == workload.DTree})
+	n, err := shm.Compile(g, shm.Options{})
 	if err != nil {
 		return err
 	}
@@ -152,7 +152,7 @@ func measureEngines(w io.Writer, net workload.NetKind, width int) error {
 	}
 	fmt.Fprintf(w, "%-8s %-7s %14.1f %14.0f %14.3f\n", "shm", "ns", shmRes.Tog, shmCfg.EffWait(), shmRes.AvgRatio)
 
-	adNet, err := shm.Compile(g, shm.Options{Diffract: net == workload.DTree})
+	adNet, err := shm.Compile(g, shm.Options{})
 	if err != nil {
 		return err
 	}
@@ -186,7 +186,7 @@ func measureEngines(w io.Writer, net workload.NetKind, width int) error {
 	// linearizable waiting regime (ModeLinear) via a LinearBelow band no
 	// occupancy can exceed — the measured cost of holding every response
 	// until all smaller values have been returned.
-	linNet, err := shm.Compile(g, shm.Options{Diffract: net == workload.DTree})
+	linNet, err := shm.Compile(g, shm.Options{})
 	if err != nil {
 		return err
 	}

@@ -35,8 +35,9 @@
 // wait duration, counter, exit) are exported as JSONL (.jsonl) or Chrome
 // trace_event format (anything else; open in Perfetto). With -metrics the
 // live metric family — toggle-wait histogram, (Tog+W)/Tog ratio gauge,
-// per-balancer depth, prism CAS retries — is dumped as plain text. -pprof
-// serves net/http/pprof plus the same metrics at /metrics while running.
+// per-balancer depth, output fetch-and-add count — is dumped as plain
+// text. -pprof serves net/http/pprof plus the same metrics at /metrics
+// while running.
 package main
 
 import (
@@ -137,7 +138,7 @@ func run(args []string, w io.Writer) error {
 	default:
 		return fmt.Errorf("unknown balancer %q", *kind)
 	}
-	n, err := shm.Compile(g, shm.Options{Kind: k, Diffract: *net == "dtree"})
+	n, err := shm.Compile(g, shm.Options{Kind: k})
 	if err != nil {
 		return err
 	}
@@ -442,12 +443,12 @@ func compareCounters(w io.Writer, width, workers, ops int) error {
 	}
 	var results []result
 
-	runNet := func(name string, kind workload.NetKind, diffract bool) error {
+	runNet := func(name string, kind workload.NetKind) error {
 		g, err := kind.Build(width)
 		if err != nil {
 			return err
 		}
-		n, err := shm.Compile(g, shm.Options{Kind: shm.KindMCS, Diffract: diffract})
+		n, err := shm.Compile(g, shm.Options{Kind: shm.KindMCS})
 		if err != nil {
 			return err
 		}
@@ -458,10 +459,10 @@ func compareCounters(w io.Writer, width, workers, ops int) error {
 		results = append(results, result{name, res.Throughput})
 		return nil
 	}
-	if err := runNet(fmt.Sprintf("bitonic[%d]+mcs", width), workload.Bitonic, false); err != nil {
+	if err := runNet(fmt.Sprintf("bitonic[%d]+mcs", width), workload.Bitonic); err != nil {
 		return err
 	}
-	if err := runNet(fmt.Sprintf("dtree[%d]+prism", width), workload.DTree, true); err != nil {
+	if err := runNet(fmt.Sprintf("dtree[%d]+mcs", width), workload.DTree); err != nil {
 		return err
 	}
 	results = append(results,

@@ -25,7 +25,7 @@ func TestRunCompareSmall(t *testing.T) {
 		t.Fatal(err)
 	}
 	out := sb.String()
-	for _, want := range []string{"bitonic[8]+mcs", "dtree[8]+prism", "mutex counter", "atomic counter"} {
+	for _, want := range []string{"bitonic[8]+mcs", "dtree[8]+mcs", "mutex counter", "atomic counter"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("missing %q:\n%s", want, out)
 		}

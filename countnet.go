@@ -162,27 +162,12 @@ const (
 type CounterOption func(*counterConfig)
 
 type counterConfig struct {
-	impl     BalancerImpl
-	diffract bool
-	prismW   int
-	window   time.Duration
+	impl BalancerImpl
 }
 
 // WithBalancer selects the toggle implementation (default MCS).
 func WithBalancer(impl BalancerImpl) CounterOption {
 	return func(c *counterConfig) { c.impl = impl }
-}
-
-// WithDiffraction wraps every two-output balancer with a prism of the given
-// width in which concurrent tokens collide and skip the toggle; window is
-// how long a token waits for a partner. Use with TreeTopology for a
-// diffracting tree.
-func WithDiffraction(prismWidth int, window time.Duration) CounterOption {
-	return func(c *counterConfig) {
-		c.diffract = true
-		c.prismW = prismWidth
-		c.window = window
-	}
 }
 
 // Counter is a concurrent shared counter backed by a counting network. All

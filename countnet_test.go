@@ -5,7 +5,6 @@ import (
 	"strings"
 	"sync"
 	"testing"
-	"time"
 )
 
 func TestTopologies(t *testing.T) {
@@ -105,31 +104,18 @@ func TestCounterImplementations(t *testing.T) {
 	}
 }
 
+// TestDiffractingTreeCounter runs the diffracting tree's counting
+// structure, a binary tree of toggles, on the out-of-line mutex step.
 func TestDiffractingTreeCounter(t *testing.T) {
 	tp, err := TreeTopology(8)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ctr, err := NewCounter(tp, WithDiffraction(4, 3*time.Microsecond))
+	ctr, err := NewCounter(tp, WithBalancer(Mutex))
 	if err != nil {
 		t.Fatal(err)
 	}
 	checkCounter(t, "diffracting-tree", ctr, 8, 250)
-}
-
-// TestDiffractionValidation checks that a negative prism width or window
-// is rejected even on a tree with no two-output balancer to put a prism on.
-func TestDiffractionValidation(t *testing.T) {
-	tp, err := TreeTopologyArity(16, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := NewCounter(tp, WithDiffraction(4, -time.Microsecond)); err == nil {
-		t.Error("negative prism window accepted")
-	}
-	if _, err := NewCounter(tp, WithDiffraction(-1, time.Microsecond)); err == nil {
-		t.Error("negative prism width accepted")
-	}
 }
 
 // checkCounter draws values from several goroutines and verifies the

@@ -3,10 +3,11 @@
 // "practically linearizable" message, live.
 //
 // A pool of handler goroutines serves ID requests from a shared queue,
-// drawing IDs from a width-32 diffracting-tree counter. The service is run
-// twice: once calm, and once with a fraction F of the handlers pausing W
-// after traversing every node of the network (think garbage collection,
-// page faults, noisy neighbours — the paper's Section 5 anomaly, verbatim).
+// drawing IDs from a width-32 counting-tree counter with MCS toggles. The
+// service is run twice: once calm, and once with a fraction F of the
+// handlers pausing W after traversing every node of the network (think
+// garbage collection, page faults, noisy neighbours — the paper's Section 5
+// anomaly, verbatim).
 // The monitor counts non-linearizable responses: requests that started
 // after another finished, yet returned a smaller ID.
 //
@@ -45,7 +46,7 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	fmt.Printf("ID server on a diffracting tree: %s\n", tree)
+	fmt.Printf("ID server on a counting tree: %s\n", tree)
 	fmt.Printf("%d handlers, %d requests\n\n", handlers, requests)
 
 	calm, calmDur, err := serve(tree, 0)
@@ -96,7 +97,7 @@ func probeNodeTime(t countnet.Topology) time.Duration {
 // serve runs the request pool against a counter built on t; stalling
 // handlers pause w after every node when w > 0.
 func serve(t countnet.Topology, w time.Duration) (countnet.Report, time.Duration, error) {
-	ctr, err := countnet.NewCounter(t, countnet.WithDiffraction(8, 3*time.Microsecond))
+	ctr, err := countnet.NewCounter(t)
 	if err != nil {
 		return countnet.Report{}, 0, err
 	}

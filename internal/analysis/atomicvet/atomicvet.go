@@ -1,7 +1,7 @@
 // Package atomicvet enforces the toggle discipline behind Theorem 3.6:
 // a field (or package-level variable) that is accessed through sync/atomic
 // anywhere in a package is an atomic field everywhere — one plain read of
-// a balancer toggle or prism slot is a data race the race detector only
+// a balancer toggle or lock word is a data race the race detector only
 // catches when the schedule cooperates, and a silently stale read breaks
 // the step property that all linearizability evidence builds on.
 //

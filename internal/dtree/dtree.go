@@ -6,9 +6,9 @@
 // trees ("less of a padding effect as implied by Theorem 3.6").
 //
 // The topology here is the *counting* structure; the diffracting "prism"
-// optimization changes only how tokens pass each node, and is provided by
-// the shm/prism package (real goroutines) and by the sim package's
-// diffracting node model.
+// optimization changes only how tokens pass each node, and is modelled by
+// the sim package's diffracting node. The goroutine runtime (internal/shm)
+// walks the tree with plain toggles.
 //
 //countnet:deterministic
 package dtree

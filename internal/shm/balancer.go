@@ -1,10 +1,9 @@
 // Package shm is the real shared-memory runtime for balancing networks:
 // any topology compiled into a flat plan whose balancers are goroutine-safe
-// toggle cells (atomic, mutex, or MCS-queue-lock toggles, optionally behind
-// a diffracting prism), walked directly by goroutines, and a stress driver
-// with delay injection and real-time linearizability monitoring. It is the
-// goroutines-as-processors counterpart of the cycle-level simulator in
-// internal/sim.
+// toggle cells (atomic, mutex, or MCS-queue-lock toggles), walked directly
+// by goroutines, and a stress driver with delay injection and real-time
+// linearizability monitoring. It is the goroutines-as-processors
+// counterpart of the cycle-level simulator in internal/sim.
 package shm
 
 import (
@@ -13,7 +12,6 @@ import (
 	"sync/atomic"
 
 	"countnet/internal/shm/mcs"
-	"countnet/internal/shm/prism"
 )
 
 // Kind selects a toggle implementation.
@@ -46,19 +44,17 @@ func (k Kind) String() string {
 
 // cell is one balancer on its own cache line: its toggle, guarded by the
 // MCS lock or the mutex by Kind or drawn from KindAtomic's fetch-and-add
-// ticket, and on a diffracting two-output balancer the prism in front of
-// it. A compiled network keeps its balancers in one []cell. The hot fields
-// fill the first 48 of 64 bytes, so they keep a line of their own when Go
-// starts the slice on a line or 8 bytes past one, after its malloc header
-// (TestPlanMatchesSequential checks).
+// ticket. A compiled network keeps its balancers in one []cell. The hot
+// fields fill the first 40 of 64 bytes, so they keep a line of their own
+// when Go starts the slice on a line or 8 bytes past one, after its malloc
+// header (TestPlanMatchesSequential checks).
 type cell struct {
 	lock   mcs.Lock
 	toggle int64 // guarded by lock or mu
 	ticket atomic.Int64
 	fanOut int64
 	mu     sync.Mutex
-	prism  *prism.Prism // nil unless the balancer diffracts
-	_      [16]byte
+	_      [24]byte
 }
 
 // lockedToggle advances the toggle in an MCS critical section entered

@@ -5,7 +5,6 @@ import (
 	"runtime"
 	"sync"
 	"testing"
-	"time"
 
 	"countnet/internal/bitonic"
 	"countnet/internal/dtree"
@@ -40,17 +39,11 @@ func BenchmarkDTree32(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	for _, diffract := range []bool{false, true} {
-		n, err := Compile(g, Options{Kind: KindMCS, Diffract: diffract, PrismWindow: 2 * time.Microsecond})
-		if err != nil {
-			b.Fatal(err)
-		}
-		name := "toggle"
-		if diffract {
-			name = "prism"
-		}
-		b.Run(name, func(b *testing.B) { benchNetwork(b, n) })
+	n, err := Compile(g, Options{Kind: KindMCS})
+	if err != nil {
+		b.Fatal(err)
 	}
+	b.Run("toggle", func(b *testing.B) { benchNetwork(b, n) })
 }
 
 // BenchmarkBalancers is rung 1 of the layer ladder: one balancer of each
@@ -61,7 +54,7 @@ func BenchmarkBalancers(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	for _, name := range []string{"atomic", "mutex", "mcs", "diffracting"} {
+	for _, name := range []string{"atomic", "mutex", "mcs"} {
 		n, err := Compile(g, oneBalancer[name])
 		if err != nil {
 			b.Fatal(err)

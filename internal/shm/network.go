@@ -3,10 +3,8 @@ package shm
 import (
 	"fmt"
 	"sync/atomic"
-	"time"
 
 	"countnet/internal/shm/mcs"
-	"countnet/internal/shm/prism"
 	"countnet/internal/topo"
 )
 
@@ -15,12 +13,6 @@ type Options struct {
 	// Kind selects the toggle implementation; default KindMCS (the
 	// paper's).
 	Kind Kind
-	// Diffract wraps every two-output balancer with a prism.
-	Diffract bool
-	// PrismWidth is the slot count of each prism (default 4).
-	PrismWidth int
-	// PrismWindow is the partner wait (default 5µs).
-	PrismWindow time.Duration
 }
 
 // paddedCounter keeps per-output counters on separate cache lines.
@@ -35,7 +27,7 @@ type stepKind uint8
 const (
 	stepCounter stepKind = iota // fetch-and-add on counters[at]; the walk ends
 	stepCell                    // cells[at]'s atomic or MCS toggle, inline
-	stepWait                    // cells[at] may park or wait: mutex or prism
+	stepWait                    // cells[at]'s mutex toggle, which may park
 )
 
 // step is one node of the compiled plan, indexed by its topo.NodeID.
@@ -63,8 +55,7 @@ type Network struct {
 	counters []paddedCounter
 	w        int64
 	kind     Kind
-	window   time.Duration // prism partner wait
-	obs      *netObs       // nil until EnableObs; read-only afterwards
+	obs      *netObs // nil until EnableObs; read-only afterwards
 	_        [64]byte
 	pool     mcs.Pool // read by every walk, so on a line of its own
 	_        [64]byte
@@ -81,18 +72,6 @@ func Compile(g *topo.Graph, opts Options) (*Network, error) {
 	if opts.Kind < KindAtomic || opts.Kind > KindMCS {
 		return nil, fmt.Errorf("shm: unknown balancer kind %d", int(opts.Kind))
 	}
-	if opts.PrismWidth < 0 {
-		return nil, fmt.Errorf("shm: negative prism width %d", opts.PrismWidth)
-	}
-	if opts.PrismWindow < 0 {
-		return nil, fmt.Errorf("shm: negative prism window %v", opts.PrismWindow)
-	}
-	if opts.PrismWidth == 0 {
-		opts.PrismWidth = 4
-	}
-	if opts.PrismWindow == 0 {
-		opts.PrismWindow = 5 * time.Microsecond
-	}
 	n := &Network{
 		g:        g,
 		entry:    make([]int32, g.InWidth()),
@@ -101,7 +80,6 @@ func Compile(g *topo.Graph, opts Options) (*Network, error) {
 		counters: make([]paddedCounter, g.OutWidth()),
 		w:        int64(g.OutWidth()),
 		kind:     opts.Kind,
-		window:   opts.PrismWindow,
 	}
 	for i := range n.entry {
 		n.entry[i] = int32(g.Input(i).Node)
@@ -121,10 +99,7 @@ func Compile(g *topo.Graph, opts Options) (*Network, error) {
 		n.cells = n.cells[:len(n.cells)+1]
 		c := &n.cells[s.at]
 		c.fanOut = int64(fanOut)
-		if opts.Diffract && fanOut == 2 {
-			c.prism = prism.New(opts.PrismWidth)
-		}
-		if c.prism != nil || opts.Kind == KindMutex {
+		if opts.Kind == KindMutex {
 			s.kind = stepWait
 		}
 	}
@@ -175,7 +150,7 @@ func (n *Network) walk(input int, pr *probe) (int64, uint64) {
 				out = n.cells[s.at].fetchToggle()
 			}
 		case stepWait:
-			out = n.waitToggle(&n.cells[s.at], node)
+			out = n.cells[s.at].mutexToggle()
 		default:
 			v := int64(s.at) + n.w*(n.counters[s.at].v.Add(1)-1)
 			if node != nil {
@@ -190,28 +165,6 @@ func (n *Network) walk(input int, pr *probe) (int64, uint64) {
 			pr.leave(id, t0, -1)
 		}
 		id = n.next[s.next+int32(out)]
-	}
-}
-
-// waitToggle routes a token through a mutex or diffracting cell: it tries
-// the prism, if the cell has one, and on Timeout falls back to the cell's
-// toggle of the network's Kind. An MCS walk locks with its queue node.
-func (n *Network) waitToggle(c *cell, node *mcs.Node) int64 {
-	if c.prism != nil {
-		switch c.prism.Exchange(n.window) {
-		case prism.First:
-			return 0
-		case prism.Second:
-			return 1
-		}
-	}
-	switch n.kind {
-	case KindMutex:
-		return c.mutexToggle()
-	case KindMCS:
-		return c.lockedToggle(node)
-	default:
-		return c.fetchToggle()
 	}
 }
 

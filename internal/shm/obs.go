@@ -11,7 +11,7 @@ import (
 // netObs is the observability state attached to a compiled Network by
 // EnableObs: tracer, clock, and the live metric family (the (Tog+W)/Tog
 // estimator, toggle-wait histogram, per-balancer queue-depth gauges, and
-// the prism CAS-retry counter).
+// the output fetch-and-add counter).
 type netObs struct {
 	tr    obs.Tracer   // nil when tracing disabled
 	clock func() int64 // nanoseconds on the run's monotonic timeline
@@ -57,25 +57,8 @@ func (n *Network) EnableObs(tr obs.Tracer, reg *obs.Registry, clock func() int64
 		for _, id := range n.g.Balancers() {
 			o.depth[id] = reg.Gauge(fmt.Sprintf("shm_bal%03d_depth", id))
 		}
-		for i := range n.cells {
-			if n.cells[i].prism != nil {
-				reg.GaugeFunc("shm_prism_cas_retries_total", n.prismRetries)
-				break
-			}
-		}
 	}
 	n.obs = o
-}
-
-// prismRetries sums the CAS races lost in every cell's prism.
-func (n *Network) prismRetries() float64 {
-	var total int64
-	for i := range n.cells {
-		if p := n.cells[i].prism; p != nil {
-			total += p.Retries()
-		}
-	}
-	return float64(total)
 }
 
 // SpanClock returns the causal span clock tracing draws ids from, or nil

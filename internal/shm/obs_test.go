@@ -108,28 +108,6 @@ func TestStressTraced(t *testing.T) {
 	}
 }
 
-// TestStressDiffractRetries checks the prism CAS-retry counter is exported
-// when diffracting balancers are compiled in.
-func TestStressDiffractRetries(t *testing.T) {
-	g, err := bitonic.New(2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	n, err := Compile(g, Options{Diffract: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	reg := obs.NewRegistry()
-	if _, err := Stress(StressConfig{Net: n, Workers: 8, Ops: 500, Seed: 1, Metrics: reg}); err != nil {
-		t.Fatal(err)
-	}
-	var txt bytes.Buffer
-	reg.WriteText(&txt)
-	if !bytes.Contains(txt.Bytes(), []byte("shm_prism_cas_retries_total")) {
-		t.Fatalf("metrics text missing prism retry gauge:\n%s", txt.String())
-	}
-}
-
 // TestEffWait pins the W convention shared with the simulator.
 func TestEffWait(t *testing.T) {
 	for _, tc := range []struct {

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"sync"
 	"testing"
-	"time"
 	"unsafe"
 
 	"countnet/internal/bitonic"
@@ -48,12 +47,11 @@ func planNets(t *testing.T) map[string]*topo.Graph {
 }
 
 // planKinds are the toggle configurations: the two inline cells (atomic,
-// MCS) and the two waiting ones (mutex, and MCS behind a prism).
+// MCS) and the out-of-line mutex one.
 var planKinds = map[string]Options{
-	"atomic":   {Kind: KindAtomic},
-	"mutex":    {Kind: KindMutex},
-	"mcs":      {Kind: KindMCS},
-	"diffract": {Kind: KindMCS, Diffract: true, PrismWindow: time.Microsecond},
+	"atomic": {Kind: KindAtomic},
+	"mutex":  {Kind: KindMutex},
+	"mcs":    {Kind: KindMCS},
 }
 
 // TestPlanMatchesSequential checks the compiled plan against the
@@ -62,6 +60,9 @@ var planKinds = map[string]Options{
 // walk through TraverseSpan, whose hook must fire once per visited node,
 // in the reference path's order, with the counter last.
 func TestPlanMatchesSequential(t *testing.T) {
+	if size := unsafe.Sizeof(cell{}); size != 64 {
+		t.Fatalf("toggle cell is %d bytes, want one 64-byte line", size)
+	}
 	for name, g := range planNets(t) {
 		for kname, opts := range planKinds {
 			n := compile(t, g, opts)
@@ -100,13 +101,13 @@ func TestPlanMatchesSequential(t *testing.T) {
 	}
 }
 
-// sharedLine returns the first cell whose hot fields (lock through
-// prism) do not sit on one 64-byte line of their own, or -1.
+// sharedLine returns the first cell whose hot fields (lock through mu)
+// do not sit on one 64-byte line of their own, or -1.
 func sharedLine(cells []cell) int {
 	line := func(p unsafe.Pointer) uintptr { return uintptr(p) / 64 }
 	for i := range cells {
-		first, last := line(unsafe.Pointer(&cells[i].lock)), line(unsafe.Pointer(&cells[i].prism))
-		if first != last || i > 0 && line(unsafe.Pointer(&cells[i-1].prism)) == first {
+		first, last := line(unsafe.Pointer(&cells[i].lock)), line(unsafe.Pointer(&cells[i].mu))
+		if first != last || i > 0 && line(unsafe.Pointer(&cells[i-1].mu)) == first {
 			return i
 		}
 	}

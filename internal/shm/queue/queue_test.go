@@ -169,7 +169,7 @@ func TestBlockingEmptyAndFull(t *testing.T) {
 }
 
 func TestWorksOnTreeTickets(t *testing.T) {
-	// Tree-based tickets with diffraction: same guarantees.
+	// Tree-based tickets on out-of-line mutex toggles: same guarantees.
 	b := topo.NewBuilder()
 	in := b.Inputs(1)
 	o0, o1 := b.Balancer12(in[0])
@@ -180,7 +180,7 @@ func TestWorksOnTreeTickets(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	q, err := New[string](g, 8, shm.Options{Kind: shm.KindMCS, Diffract: true})
+	q, err := New[string](g, 8, shm.Options{Kind: shm.KindMutex})
 	if err != nil {
 		t.Fatal(err)
 	}

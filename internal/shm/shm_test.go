@@ -23,10 +23,9 @@ func TestKindString(t *testing.T) {
 // BenchmarkBalancers run on a one-balancer network, keyed by the
 // sub-benchmark names.
 var oneBalancer = map[string]Options{
-	"atomic":      {Kind: KindAtomic},
-	"mutex":       {Kind: KindMutex},
-	"mcs":         {Kind: KindMCS},
-	"diffracting": {Kind: KindMCS, Diffract: true, PrismWidth: 8, PrismWindow: 2 * time.Microsecond},
+	"atomic": {Kind: KindAtomic},
+	"mutex":  {Kind: KindMutex},
+	"mcs":    {Kind: KindMCS},
 }
 
 // TestBalancerStepProperty hammers a one-balancer network of each toggle
@@ -88,7 +87,7 @@ func TestNetworkCountsPermutation(t *testing.T) {
 		"bitonic/mutex":  compile(t, gb, Options{Kind: KindMutex}),
 		"bitonic/mcs":    compile(t, gb, Options{Kind: KindMCS}),
 		"dtree/mcs":      compile(t, gt, Options{Kind: KindMCS}),
-		"dtree/diffract": compile(t, gt, Options{Kind: KindMCS, Diffract: true}),
+		"dtree/mutex":    compile(t, gt, Options{Kind: KindMutex}),
 	}
 	for name, n := range cases {
 		const workers = 8
@@ -142,7 +141,7 @@ func TestSingleWorkerValuesSequential(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	n := compile(t, g, Options{Kind: KindMCS, Diffract: true})
+	n := compile(t, g, Options{Kind: KindMutex})
 	for k := 0; k < 500; k++ {
 		if v := n.Traverse(0); v != int64(k) {
 			t.Fatalf("sequential traversal %d returned %d", k, v)
@@ -163,21 +162,6 @@ func TestCompileValidation(t *testing.T) {
 	}
 	if _, err := Compile(g, Options{Kind: Kind(-1)}); err == nil {
 		t.Error("negative toggle kind accepted")
-	}
-	// An arity-4 tree has no two-output balancer, so no prism is built;
-	// the options are rejected all the same.
-	tree, err := dtree.NewArity(16, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, opts := range []Options{
-		{Diffract: true, PrismWidth: -1},
-		{Diffract: true, PrismWindow: -time.Microsecond},
-		{PrismWindow: -time.Microsecond},
-	} {
-		if _, err := Compile(tree, opts); err == nil {
-			t.Errorf("options accepted: %+v", opts)
-		}
 	}
 }
 
@@ -231,7 +215,7 @@ func TestStressWithInjectedDelays(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	n := compile(t, g, Options{Kind: KindMCS, Diffract: true})
+	n := compile(t, g, Options{Kind: KindMutex})
 	res, err := Stress(StressConfig{
 		Net: n, Workers: 8, Ops: 1000,
 		DelayedFrac: 0.25, Delay: 50 * time.Microsecond, Seed: 2,

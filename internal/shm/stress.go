@@ -47,8 +47,8 @@ type StressConfig struct {
 	// events on the run's monotonic timeline.
 	Tracer obs.Tracer
 	// Metrics, when non-nil, receives the live shm metric family (toggle
-	// wait histogram, (Tog+W)/Tog ratio, per-balancer depth gauges, prism
-	// CAS retries).
+	// wait histogram, (Tog+W)/Tog ratio, per-balancer depth gauges, output
+	// fetch-and-add count).
 	Metrics *obs.Registry
 }
 

@@ -56,17 +56,14 @@ func (s RealSpec) String() string {
 	return fmt.Sprintf("%s%d/g=%d/W=%v/F=%.0f%%%s", s.Net, s.Width, s.Workers, s.Delay, 100*s.Frac, tail)
 }
 
-// Run compiles the network (diffracting prisms for the tree, as in the
-// paper) and executes the stress benchmark.
+// Run compiles the network with MCS toggles, the paper's balancer, and
+// executes the stress benchmark.
 func (s RealSpec) Run() (*shm.StressResult, error) {
 	g, err := s.Net.Build(s.Width)
 	if err != nil {
 		return nil, err
 	}
-	n, err := shm.Compile(g, shm.Options{
-		Kind:     shm.KindMCS,
-		Diffract: s.Net == DTree,
-	})
+	n, err := shm.Compile(g, shm.Options{Kind: shm.KindMCS})
 	if err != nil {
 		return nil, err
 	}

@@ -3,11 +3,9 @@ package countnet
 import (
 	"fmt"
 	"sync/atomic"
-	"time"
 
 	"countnet/internal/shm"
 	"countnet/internal/shm/queue"
-	"countnet/internal/shm/stack"
 )
 
 // Queue is a bounded MPMC FIFO buffer whose enqueue and dequeue tickets are
@@ -48,34 +46,6 @@ func (q *Queue[T]) Dequeue() T { return q.q.Dequeue() }
 
 // Cap returns the queue capacity.
 func (q *Queue[T]) Cap() int { return q.q.Cap() }
-
-// Stack is a lock-free LIFO with elimination backoff, after Shavit and
-// Touitou's elimination trees (the collision idea behind the paper's
-// diffracting prisms): contended push/pop pairs cancel in an elimination
-// array without touching the stack top.
-type Stack[T any] struct {
-	s *stack.Stack[T]
-}
-
-// NewStack returns a stack with an elimination array of `width` slots and
-// the given collision window.
-func NewStack[T any](width int, window time.Duration) *Stack[T] {
-	return &Stack[T]{s: stack.New[T](width, window)}
-}
-
-// Push adds v to the stack.
-func (s *Stack[T]) Push(v T) { s.s.Push(v) }
-
-// Pop removes and returns the most recently pushed value; ok is false when
-// the stack is empty.
-func (s *Stack[T]) Pop() (v T, ok bool) { return s.s.Pop() }
-
-// Eliminated returns how many operations completed by pairwise elimination
-// rather than through the stack top.
-func (s *Stack[T]) Eliminated() int64 { return s.s.Eliminated() }
-
-// Len walks the stack; it is only meaningful in quiescent states.
-func (s *Stack[T]) Len() int { return s.s.Len() }
 
 // LinearizableCounter is a counting network wrapped in a waiting filter, in
 // the spirit of the Herlihy-Shavit-Waarts linearizable counting
@@ -137,10 +107,5 @@ func buildOptions(opts []CounterOption) (shm.Options, error) {
 	default:
 		return shm.Options{}, fmt.Errorf("countnet: unknown balancer implementation %d", int(cfg.impl))
 	}
-	return shm.Options{
-		Kind:        kind,
-		Diffract:    cfg.diffract,
-		PrismWidth:  cfg.prismW,
-		PrismWindow: cfg.window,
-	}, nil
+	return shm.Options{Kind: kind}, nil
 }

@@ -4,7 +4,6 @@ import (
 	"math"
 	"sync"
 	"testing"
-	"time"
 )
 
 func TestQueueEndToEnd(t *testing.T) {
@@ -65,27 +64,6 @@ func TestQueueValidation(t *testing.T) {
 	}
 	if _, err := NewQueue[int](tp, 4, WithBalancer(BalancerImpl(42))); err == nil {
 		t.Error("bad balancer impl accepted")
-	}
-}
-
-func TestStackEndToEnd(t *testing.T) {
-	s := NewStack[string](4, 20*time.Microsecond)
-	if _, ok := s.Pop(); ok {
-		t.Fatal("Pop on empty succeeded")
-	}
-	s.Push("a")
-	s.Push("b")
-	if s.Len() != 2 {
-		t.Fatalf("Len = %d", s.Len())
-	}
-	if v, ok := s.Pop(); !ok || v != "b" {
-		t.Fatalf("Pop = %q,%v", v, ok)
-	}
-	if v, ok := s.Pop(); !ok || v != "a" {
-		t.Fatalf("Pop = %q,%v", v, ok)
-	}
-	if s.Eliminated() < 0 {
-		t.Fatal("negative elimination count")
 	}
 }
 
