@@ -24,6 +24,10 @@
 //	ctr, _ := countnet.NewCounter(topo)
 //	v := ctr.Next()
 //
+// Next takes no input and touches no shared word before the network: a
+// call enters at the home input of a walk seat pooled per P, so
+// goroutines on different Ps enter the network at inputs spread across it.
+//
 // Use Monitor to check real executions for linearizability violations, and
 // see the internal packages (via the cmd tools and benchmarks) for the
 // paper's simulator-based evaluation.
@@ -32,7 +36,6 @@ package countnet
 import (
 	"errors"
 	"fmt"
-	"sync/atomic"
 	"time"
 
 	"countnet/internal/bitonic"
@@ -173,8 +176,7 @@ func WithBalancer(impl BalancerImpl) CounterOption {
 // Counter is a concurrent shared counter backed by a counting network. All
 // methods are safe for concurrent use by any number of goroutines.
 type Counter struct {
-	net  *shm.Network
-	next atomic.Int64
+	net *shm.Network
 }
 
 // NewCounter compiles the topology into a runnable concurrent counter.
@@ -193,16 +195,17 @@ func NewCounter(t Topology, opts ...CounterOption) (*Counter, error) {
 	return &Counter{net: net}, nil
 }
 
-// Next draws the next value, entering the network on round-robin inputs.
-// Values across all goroutines form a permutation of 0, 1, 2, ...; see the
-// package comment for the exact ordering guarantees.
-func (c *Counter) Next() int64 {
-	return c.net.Traverse(int(uint64(c.next.Add(1)-1) % uint64(c.net.InWidth())))
-}
+// Next draws the next value. Each call enters the network at the home
+// input of the walk seat it draws from the counter's pool, so goroutines
+// running on different Ps enter at inputs spread across the network, with
+// no shared word to pick them. Values across all goroutines form a
+// permutation of 0, 1, 2, ...; see the package comment for the exact
+// ordering guarantees.
+func (c *Counter) Next() int64 { return c.net.Next() }
 
 // NextAt draws the next value entering at a specific network input, which
-// callers can use to pin goroutines to inputs (lower contention than the
-// shared round-robin cursor).
+// callers can use to pin goroutines to inputs of their choosing, for
+// timing experiments or to reproduce a placement.
 func (c *Counter) NextAt(input int) (int64, error) {
 	if input < 0 || input >= c.net.InWidth() {
 		return 0, fmt.Errorf("countnet: input %d out of range [0,%d)", input, c.net.InWidth())

@@ -1,7 +1,6 @@
 package countnet
 
 import (
-	"math"
 	"strings"
 	"sync"
 	"testing"
@@ -181,25 +180,6 @@ func TestNextAt(t *testing.T) {
 	}
 	if _, err := ctr.NextAt(4); err == nil {
 		t.Error("NextAt(width) accepted")
-	}
-}
-
-// TestNextCursorWrap starts the round-robin cursor just below the int64
-// limit: the calls that wrap it must still pick a valid input.
-func TestNextCursorWrap(t *testing.T) {
-	tp, err := BitonicTopology(4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctr, err := NewCounter(tp)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctr.next.Store(math.MaxInt64 - 1)
-	for k := int64(0); k < 4; k++ {
-		if v := ctr.Next(); v != k {
-			t.Errorf("sequential Next %d = %d", k, v)
-		}
 	}
 }
 

@@ -87,27 +87,24 @@ func (t *T) NeverReleased() {
 
 type Q struct {
 	lock mcs.Lock
-	pool mcs.Pool
 	v    int
 }
 
 func (q *Q) MCSLeak(x int) int {
-	n := q.pool.Get()
-	q.lock.Acquire(n)
+	var n mcs.Node
+	q.lock.Acquire(&n)
 	if x < 0 {
 		return -1 // want `return with Q\.lock held`
 	}
-	q.lock.Release(n)
-	q.pool.Put(n)
+	q.lock.Release(&n)
 	return q.v
 }
 
 func (q *Q) MCSBalanced() int {
-	n := q.pool.Get()
-	q.lock.Acquire(n)
+	var n mcs.Node
+	q.lock.Acquire(&n)
 	v := q.v
-	q.lock.Release(n)
-	q.pool.Put(n)
+	q.lock.Release(&n)
 	return v
 }
 

@@ -4,6 +4,11 @@
 // by goroutines, and a stress driver with delay injection and real-time
 // linearizability monitoring. It is the goroutines-as-processors
 // counterpart of the cycle-level simulator in internal/sim.
+//
+// A walk enters at the input its caller names (Network.Traverse) or at the
+// home input of the walk seat it draws from the network's pool
+// (Network.Next); the pool's per-P slots keep callers on different Ps at
+// different inputs with no shared word to pick them.
 package shm
 
 import (

@@ -66,42 +66,56 @@ func BenchmarkBalancers(b *testing.B) {
 // BenchmarkWalk is rung 2 of the layer ladder: one network walk on
 // bitonic[32] (15 toggles and a counter fetch-and-add), untraced Traverse
 // against TraverseSpan with tracing and metrics on, at a fixed goroutine
-// count. It reports ns/token and allocs/token; untraced walks allocate
-// nothing.
+// count. Traverse and TraverseSpan rows enter worker w at inputs w,
+// w+workers, ..., so two workers always share first-layer balancers, the
+// pattern of a shared round-robin cursor. The mcs/home rows enter through
+// Next, at each walk seat's home input instead. It reports ns/token and
+// allocs/token; untraced walks allocate nothing.
 func BenchmarkWalk(b *testing.B) {
 	g, err := bitonic.New(32)
 	if err != nil {
 		b.Fatal(err)
 	}
 	for _, kind := range []Kind{KindAtomic, KindMCS} {
-		for _, traced := range []bool{false, true} {
+		for _, entry := range []walkEntry{entryTraverse, entrySpan, entryHome} {
+			if entry == entryHome && kind != KindMCS {
+				continue
+			}
 			for _, workers := range []int{1, 2} {
-				name := fmt.Sprintf("%s/traverse/g%d", kind, workers)
-				if traced {
-					name = fmt.Sprintf("%s/span/g%d", kind, workers)
-				}
-				b.Run(name, func(b *testing.B) {
+				b.Run(fmt.Sprintf("%s/%s/g%d", kind, entry, workers), func(b *testing.B) {
 					n, err := Compile(g, Options{Kind: kind})
 					if err != nil {
 						b.Fatal(err)
 					}
-					if traced {
+					if entry == entrySpan {
 						n.EnableObs(obs.NewRing(workers, 1<<12), obs.NewRegistry(), nil, 0)
 					}
-					benchWalk(b, n, workers, traced)
+					benchWalk(b, n, workers, entry)
 				})
 			}
 		}
 	}
 }
 
+// walkEntry is how a BenchmarkWalk row enters the network.
+type walkEntry int
+
+const (
+	entryTraverse walkEntry = iota // Traverse at a rotating input
+	entrySpan                      // traced TraverseSpan at a rotating input
+	entryHome                      // Next, at the walk seat's home input
+)
+
+func (e walkEntry) String() string {
+	return [...]string{"traverse", "span", "home"}[e]
+}
+
 // benchWalk splits b.N walks over workers goroutines and reports the
 // per-token cost. The goroutines start before the allocation count is
 // read, so allocs/token counts the walks alone; like the testing
 // package's allocs/op it is truncated to a whole number, which keeps the
-// rare sync.Pool miss of an MCS queue node from reading as a per-token
-// cost.
-func benchWalk(b *testing.B, n *Network, workers int, traced bool) {
+// rare sync.Pool miss of a walk seat from reading as a per-token cost.
+func benchWalk(b *testing.B, n *Network, workers int, entry walkEntry) {
 	start := make(chan struct{})
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
@@ -110,9 +124,12 @@ func benchWalk(b *testing.B, n *Network, workers int, traced bool) {
 			defer wg.Done()
 			<-start
 			for i := w; i < b.N; i += workers {
-				if traced {
+				switch entry {
+				case entrySpan:
 					n.TraverseSpan(i%n.InWidth(), int32(w), int32(i), 0, nil)
-				} else {
+				case entryHome:
+					n.Next()
+				default:
 					n.Traverse(i % n.InWidth())
 				}
 			}

@@ -7,14 +7,13 @@ package mcs
 
 import (
 	"runtime"
-	"sync"
 	"sync/atomic"
 )
 
 // Node is one waiter's queue cell. A Node that is not queued has
 // next == nil: the zero Node starts that way and Release restores it. A
-// Node may be reused after Release returns; use a Pool to amortize
-// allocation.
+// Node may be reused after Release returns, so a goroutine can keep one
+// (a compiled network pools them inside its walk seats).
 type Node struct {
 	next   atomic.Pointer[Node]
 	locked atomic.Bool
@@ -75,20 +74,3 @@ func (l *Lock) Release(n *Node) {
 	n.next.Store(nil)
 	next.locked.Store(false)
 }
-
-// Pool hands out queue Nodes.
-type Pool struct {
-	p sync.Pool
-}
-
-// Get returns a Node ready for Acquire.
-func (p *Pool) Get() *Node {
-	if n, ok := p.p.Get().(*Node); ok {
-		return n
-	}
-	//countnet:allow hotvet -- a pool miss allocates one queue node; steady-state traffic recycles nodes through the pool
-	return new(Node)
-}
-
-// Put returns a Node after Release.
-func (p *Pool) Put(n *Node) { p.p.Put(n) }

@@ -6,9 +6,15 @@ import (
 	"testing"
 )
 
+// nodePool recycles Nodes across goroutines, as a compiled network's
+// seat pool does.
+func nodePool() *sync.Pool {
+	return &sync.Pool{New: func() any { return new(Node) }}
+}
+
 func TestMutualExclusion(t *testing.T) {
 	var l Lock
-	var pool Pool
+	pool := nodePool()
 	const goroutines = 16
 	const iters = 2000
 	counter := 0
@@ -18,7 +24,7 @@ func TestMutualExclusion(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < iters; i++ {
-				n := pool.Get()
+				n := pool.Get().(*Node)
 				l.Acquire(n)
 				counter++ // data race unless the lock works
 				l.Release(n)
@@ -157,10 +163,10 @@ func BenchmarkMCSUncontended(b *testing.B) {
 
 func BenchmarkMCSContended(b *testing.B) {
 	var l Lock
-	var pool Pool
+	pool := nodePool()
 	b.RunParallel(func(pb *testing.PB) {
 		for pb.Next() {
-			n := pool.Get()
+			n := pool.Get().(*Node)
 			l.Acquire(n)
 			l.Release(n)
 			pool.Put(n)

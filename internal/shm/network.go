@@ -2,6 +2,8 @@ package shm
 
 import (
 	"fmt"
+	"math/bits"
+	"sync"
 	"sync/atomic"
 
 	"countnet/internal/shm/mcs"
@@ -37,6 +39,15 @@ type step struct {
 	kind stepKind
 }
 
+// seat is what one walk holds: the MCS queue node it queues on at every
+// toggle and the home input Next enters at. Seats live in the network's
+// pool, whose per-P slots keep handing a P the seat it put back last, so
+// callers running on different Ps keep entering at different inputs.
+type seat struct {
+	node mcs.Node
+	home int
+}
+
 // Network is a balancing network compiled for direct traversal by
 // goroutines: the paper's shared-memory counting network. It implements a
 // w-width shared counter whose Traverse returns globally unique,
@@ -57,7 +68,8 @@ type Network struct {
 	kind     Kind
 	obs      *netObs // nil until EnableObs; read-only afterwards
 	_        [64]byte
-	pool     mcs.Pool // read by every walk, so on a line of its own
+	pool     sync.Pool    // of *seat; read by every walk, so on a line of its own
+	seats    atomic.Int64 // seats made so far; written only on a pool miss
 	_        [64]byte
 }
 
@@ -120,20 +132,40 @@ func (n *Network) OutWidth() int { return int(n.w) }
 //
 //countnet:hotpath
 func (n *Network) Traverse(input int) int64 {
-	v, _ := n.walk(input, nil)
+	v, _ := n.walk(input, false, nil)
 	return v
 }
 
-// walk is the one traversal loop: it routes a token from input through
-// the plan and returns the counter value and, when pr records spans, the
-// last span id. A nil probe reads no clock and calls no hook.
+// Next routes one token from the home input of the seat its walk draws
+// and returns its value. Concurrent callers on different Ps hold
+// different seats, so they enter at different inputs with no shared word
+// to pick them. Safe for concurrent use by any number of goroutines.
+//
+//countnet:hotpath
+func (n *Network) Next() int64 {
+	v, _ := n.walk(0, true, nil)
+	return v
+}
+
+// walk is the one traversal loop: it routes a token from input, or from
+// its seat's home when home is set, through the plan and returns the
+// counter value and, when pr records spans, the last span id. A nil probe
+// reads no clock and calls no hook.
 //
 // A token holds at most one toggle lock at a time and mcs.Node may be
-// reused once Release returns, so one queue node serves the whole walk.
-func (n *Network) walk(input int, pr *probe) (int64, uint64) {
+// reused once Release returns, so the seat's one queue node serves the
+// whole walk.
+func (n *Network) walk(input int, home bool, pr *probe) (int64, uint64) {
+	var ws *seat
 	var node *mcs.Node
-	if n.kind == KindMCS {
-		node = n.pool.Get()
+	if home || n.kind == KindMCS {
+		ws = n.seat()
+		if home {
+			input = ws.home
+		}
+		if n.kind == KindMCS {
+			node = &ws.node
+		}
 	}
 	for id := n.entry[input]; ; {
 		s := &n.steps[id]
@@ -153,8 +185,8 @@ func (n *Network) walk(input int, pr *probe) (int64, uint64) {
 			out = n.cells[s.at].mutexToggle()
 		default:
 			v := int64(s.at) + n.w*(n.counters[s.at].v.Add(1)-1)
-			if node != nil {
-				n.pool.Put(node)
+			if ws != nil {
+				n.pool.Put(ws)
 			}
 			if pr == nil {
 				return v, 0
@@ -166,6 +198,28 @@ func (n *Network) walk(input int, pr *probe) (int64, uint64) {
 		}
 		id = n.next[s.next+int32(out)]
 	}
+}
+
+// seat draws a seat from the pool, making one on a miss.
+func (n *Network) seat() *seat {
+	if s, ok := n.pool.Get().(*seat); ok {
+		return s
+	}
+	return n.newSeat()
+}
+
+// newSeat makes seat k, k counting the seats made so far. Its home is
+// the bit-reversal of k read as a binary fraction (the van der Corput
+// sequence) scaled to InWidth. On a width-2^b network that is k's low b
+// bits reversed, so seats 0 and 1 enter in opposite halves: on
+// bitonic[w], different Bitonic[w/2] sub-networks. On any width the first 2^j seats (2^j <= width) get distinct inputs. It
+// runs on a pool miss only: a P's first walk, or one after GC dropped the
+// seats.
+func (n *Network) newSeat() *seat {
+	k := uint64(n.seats.Add(1) - 1)
+	home, _ := bits.Mul64(bits.Reverse64(k), uint64(len(n.entry)))
+	//countnet:allow hotvet -- a pool miss allocates one seat; steady-state walks recycle seats through the pool
+	return &seat{home: int(home)}
 }
 
 // CounterCounts returns the number of tokens that exited each output; in a

@@ -84,13 +84,13 @@ func (n *Network) SpanClock() *obs.Clock {
 // traversal — onto.
 func (n *Network) TraverseSpan(input int, proc, tok int32, parent uint64, afterNode func(id topo.NodeID)) (int64, uint64) {
 	if n.obs == nil && afterNode == nil {
-		return n.walk(input, nil)
+		return n.walk(input, false, nil)
 	}
 	pr := probe{o: n.obs, hook: afterNode, proc: proc, tok: tok}
 	if pr.o != nil && pr.o.tr != nil {
 		pr.span = parent
 	}
-	return n.walk(input, &pr)
+	return n.walk(input, false, &pr)
 }
 
 // probe is what a TraverseSpan walk does at each node besides routing

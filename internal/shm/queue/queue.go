@@ -23,19 +23,15 @@ import (
 
 // Queue is a bounded MPMC FIFO buffer. All methods are safe for concurrent
 // use.
+//
+// A ticket walk enters its network at the home input of the walk seat it
+// draws (shm.Network.Next), so the header holds no per-call state: every
+// field is read-only after New.
 type Queue[T any] struct {
 	enq   *shm.Network
 	deq   *shm.Network
 	cells []cell[T]
 	cap   int64
-	// The input cursors are written on every call, enqIn by producers and
-	// deqIn by consumers, so each sits on its own cache line, away from
-	// the read-only fields above and from each other.
-	_     [56]byte
-	enqIn atomic.Int64
-	_     [56]byte
-	deqIn atomic.Int64
-	_     [56]byte
 }
 
 // cell is one ring slot. turn advances 2 per generation: 2g means "empty,
@@ -72,7 +68,7 @@ func New[T any](g *topo.Graph, capacity int, opts shm.Options) (*Queue[T], error
 
 // Enqueue appends v, blocking while the queue is full.
 func (q *Queue[T]) Enqueue(v T) {
-	t := q.enq.Traverse(int(uint64(q.enqIn.Add(1)-1) % uint64(q.enq.InWidth())))
+	t := q.enq.Next()
 	c := &q.cells[t%q.cap]
 	gen := t / q.cap
 	for spins := 0; c.turn.Load() != 2*gen; spins++ {
@@ -87,7 +83,7 @@ func (q *Queue[T]) Enqueue(v T) {
 // Dequeue removes and returns the oldest item, blocking while the queue is
 // empty.
 func (q *Queue[T]) Dequeue() T {
-	t := q.deq.Traverse(int(uint64(q.deqIn.Add(1)-1) % uint64(q.deq.InWidth())))
+	t := q.deq.Next()
 	c := &q.cells[t%q.cap]
 	gen := t / q.cap
 	for spins := 0; c.turn.Load() != 2*gen+1; spins++ {

@@ -1,7 +1,6 @@
 package queue
 
 import (
-	"math"
 	"sync"
 	"testing"
 	"time"
@@ -62,22 +61,6 @@ func TestWrapAround(t *testing.T) {
 			if v := q.Dequeue(); v != round*4+i {
 				t.Fatalf("round %d: Dequeue = %d, want %d", round, v, round*4+i)
 			}
-		}
-	}
-}
-
-// TestCursorWrap starts both input cursors just below the int64 limit:
-// the calls that wrap them must still pick a valid input and keep FIFO.
-func TestCursorWrap(t *testing.T) {
-	q := build(t, 8)
-	q.enqIn.Store(math.MaxInt64 - 1)
-	q.deqIn.Store(math.MaxInt64 - 1)
-	for i := 0; i < 4; i++ {
-		q.Enqueue(i)
-	}
-	for i := 0; i < 4; i++ {
-		if v := q.Dequeue(); v != i {
-			t.Fatalf("Dequeue = %d, want %d", v, i)
 		}
 	}
 }

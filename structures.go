@@ -2,7 +2,6 @@ package countnet
 
 import (
 	"fmt"
-	"sync/atomic"
 
 	"countnet/internal/shm"
 	"countnet/internal/shm/queue"
@@ -55,9 +54,8 @@ func (q *Queue[T]) Cap() int { return q.q.Cap() }
 // not worth paying ("an unnecessary burden on applications that are willing
 // to trade-off occasional non-linearizability for speed and parallelism").
 type LinearizableCounter struct {
-	f    *shm.Filter
-	next atomic.Int64
-	in   int
+	net *shm.Network
+	f   *shm.Filter
 }
 
 // NewLinearizableCounter compiles t and wraps it in the waiting filter.
@@ -73,19 +71,18 @@ func NewLinearizableCounter(t Topology, opts ...CounterOption) (*LinearizableCou
 	if err != nil {
 		return nil, err
 	}
-	return &LinearizableCounter{f: shm.NewFilter(net), in: t.InWidth()}, nil
+	return &LinearizableCounter{net: net, f: shm.NewFilter(net)}, nil
 }
 
-// Next draws the next value; values are returned in exactly increasing
+// Next draws the next value, entering the network at a walk seat's home
+// input as Counter.Next does; values are returned in exactly increasing
 // real-time order across all goroutines.
-func (c *LinearizableCounter) Next() int64 {
-	return c.f.Traverse(int(uint64(c.next.Add(1)-1) % uint64(c.in)))
-}
+func (c *LinearizableCounter) Next() int64 { return c.f.Release(c.net.Next()) }
 
 // NextAt draws the next value entering at a specific network input.
 func (c *LinearizableCounter) NextAt(input int) (int64, error) {
-	if input < 0 || input >= c.in {
-		return 0, fmt.Errorf("countnet: input %d out of range [0,%d)", input, c.in)
+	if input < 0 || input >= c.net.InWidth() {
+		return 0, fmt.Errorf("countnet: input %d out of range [0,%d)", input, c.net.InWidth())
 	}
 	return c.f.Traverse(input), nil
 }
