@@ -12,7 +12,8 @@
 //	detvet    seed-reproducibility in //countnet:deterministic packages
 //	atomicvet no plain access to fields used with sync/atomic
 //	obsvet    nil-guarded observability so disabled obs costs nothing
-//	lockvet   lock copies, leaked critical sections, undeclared nesting
+//	lockvet   leaked critical sections, undeclared nesting (lock copies
+//	          are stock vet's copylocks)
 //	hotvet    //countnet:hotpath call trees free of blocking and allocation
 //	gatevet   seqlock epoch-gate protocol on marked fields
 //	escvet    compiler escape/inline decisions pinned to escapes.golden

@@ -157,7 +157,6 @@ func run(args []string, w io.Writer) error {
 	var front *adaptive.Counter
 	if *engine == "adaptive" {
 		front, err = adaptive.New(n, adaptive.Options{
-			Kind:         k,
 			Linearizable: *linear,
 			LinearBelow:  *linBand,
 			EffWait:      cfg.EffWait(),

@@ -88,9 +88,6 @@ func NewProgram(pkgs []*Package) *Program {
 // nil for files outside the program.
 func (p *Program) PackageFor(filename string) *Package { return p.byFile[filename] }
 
-// PackageAt returns the loaded package with the given import path, or nil.
-func (p *Program) PackageAt(path string) *Package { return p.byPath[path] }
-
 // FuncOf resolves any universe's *types.Func to its loaded declaration,
 // or nil when the function's source is not part of the program (stdlib,
 // export-data-only dependencies, function literals).

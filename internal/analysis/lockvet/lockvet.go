@@ -1,20 +1,20 @@
 // Package lockvet checks the hand-rolled locking discipline of the shm
-// engine: mutexes (and MCS queue locks) copied by value, critical
-// sections abandoned on early-return paths, and nested lock acquisition
-// without a declared order. The paper's Tog measurements assume every
-// balancer critical section is entered and left exactly once per
-// traversal; a leaked lock stalls the whole network rather than one
-// token, and an undeclared nesting is a deadlock waiting for the right
-// schedule.
+// engine: critical sections abandoned on early-return paths, and nested
+// lock acquisition without a declared order. The paper's Tog
+// measurements assume every balancer critical section is entered and
+// left exactly once per traversal; a leaked lock stalls the whole
+// network rather than one token, and an undeclared nesting is a deadlock
+// waiting for the right schedule. Locks copied by value are stock
+// `go vet`'s copylocks check, which covers MCS queue locks too (their
+// atomic.Pointer carries noCopy).
 //
-// The early-return and nesting checks are linear source-order scans per
-// function (no CFG): `X.Lock()` opens a critical section, a matching
-// `defer X.Unlock()` closes it for the whole function, `X.Unlock()`
-// closes it at that point, and any `return` while a section is open is
-// flagged. Conditional locking patterns that confuse the scan can be
-// annotated with `//countnet:allow lockvet -- <reason>`. Nested
-// acquisitions must be declared with `//countnet:lockorder A < B` at
-// package level.
+// Both checks are linear source-order scans per function (no CFG):
+// `X.Lock()` opens a critical section, a matching `defer X.Unlock()`
+// closes it for the whole function, `X.Unlock()` closes it at that
+// point, and any `return` while a section is open is flagged.
+// Conditional locking patterns that confuse the scan can be annotated
+// with `//countnet:allow lockvet -- <reason>`. Nested acquisitions must
+// be declared with `//countnet:lockorder A < B` at package level.
 package lockvet
 
 import (
@@ -28,7 +28,7 @@ import (
 // Analyzer is the lockvet pass.
 var Analyzer = &analysis.Analyzer{
 	Name: "lockvet",
-	Doc:  "no lock copies, no early return with a lock held, no undeclared nested acquisition",
+	Doc:  "no early return with a lock held, no undeclared nested acquisition",
 	Run:  run,
 }
 
@@ -53,88 +53,12 @@ func run(pass *analysis.Pass) error {
 			if !ok {
 				continue
 			}
-			checkCopies(pass, fd)
 			if fd.Body != nil {
 				checkSections(pass, fd)
 			}
 		}
 	}
 	return nil
-}
-
-// containsLock reports whether a value of type t embeds a lock (so
-// copying t copies lock state). The seen set breaks type cycles.
-func containsLock(t types.Type, seen map[types.Type]bool) bool {
-	if seen[t] {
-		return false
-	}
-	seen[t] = true
-	// Copying a pointer never copies the lock it points at (isLockType
-	// unwraps pointers because mu.Lock() through a *Mutex is fine; copy
-	// analysis must not).
-	if _, ok := t.Underlying().(*types.Pointer); ok {
-		return false
-	}
-	if isLockType(t) {
-		return true
-	}
-	switch u := t.Underlying().(type) {
-	case *types.Struct:
-		for i := 0; i < u.NumFields(); i++ {
-			if containsLock(u.Field(i).Type(), seen) {
-				return true
-			}
-		}
-	case *types.Array:
-		return containsLock(u.Elem(), seen)
-	}
-	return false
-}
-
-func copiesLock(t types.Type) bool { return containsLock(t, map[types.Type]bool{}) }
-
-// checkCopies flags lock-bearing values passed or bound by value:
-// parameters, value receivers, assignments from a dereference, and call
-// arguments that dereference a pointer to a lock-bearing value.
-func checkCopies(pass *analysis.Pass, fd *ast.FuncDecl) {
-	flagField := func(fl *ast.Field, what string) {
-		t := pass.TypesInfo.TypeOf(fl.Type)
-		if t == nil {
-			return
-		}
-		if _, isPtr := t.Underlying().(*types.Pointer); isPtr {
-			return
-		}
-		if copiesLock(t) {
-			pass.Reportf(fl.Pos(), "%s copies a lock: pass *%s instead",
-				what, types.TypeString(t, types.RelativeTo(pass.Pkg)))
-		}
-	}
-	if fd.Recv != nil {
-		for _, fl := range fd.Recv.List {
-			flagField(fl, "value receiver")
-		}
-	}
-	if fd.Type.Params != nil {
-		for _, fl := range fd.Type.Params.List {
-			flagField(fl, "parameter")
-		}
-	}
-	if fd.Body == nil {
-		return
-	}
-	ast.Inspect(fd.Body, func(n ast.Node) bool {
-		star, ok := n.(*ast.StarExpr)
-		if !ok {
-			return true
-		}
-		t := pass.TypesInfo.TypeOf(star)
-		if t != nil && copiesLock(t) {
-			pass.Reportf(star.Pos(), "dereference copies a lock held in %s",
-				types.TypeString(t, types.RelativeTo(pass.Pkg)))
-		}
-		return true
-	})
 }
 
 // event is one lock-relevant point in a function, in source order.

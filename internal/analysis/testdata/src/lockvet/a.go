@@ -1,5 +1,5 @@
 // Package lockvetdata seeds lock-discipline violations for lockvet:
-// copies, leaked critical sections, and undeclared nested acquisition.
+// leaked critical sections and undeclared nested acquisition.
 //
 //countnet:lockorder T.outer < T.inner
 package lockvetdata
@@ -16,19 +16,10 @@ type T struct {
 	n            int
 }
 
-func ByValue(mu sync.Mutex) {} // want `parameter copies a lock`
-
 func ByPointer(mu *sync.Mutex, c *int) {
 	mu.Lock()
 	*c++ // dereferencing a non-lock pointer is fine
 	mu.Unlock()
-}
-
-func (t T) ValueRecv() {} // want `value receiver copies a lock`
-
-func Deref(t *T) {
-	u := *t // want `dereference copies a lock`
-	_ = u
 }
 
 func (t *T) EarlyReturnLeak(x int) int {

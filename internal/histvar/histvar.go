@@ -64,9 +64,6 @@ func (t *Tracker) TokenKnowledge(tok int) *Bitset { return t.tokens[tok] }
 // NodeKnowledge returns H_D for node id (a live view, not a copy).
 func (t *Tracker) NodeKnowledge(id topo.NodeID) *Bitset { return t.nodes[id] }
 
-// ExitOrdinal returns how many tokens have exited through counter node id.
-func (t *Tracker) ExitOrdinal(id topo.NodeID) int64 { return t.exits[id] }
-
 // CheckLemma31 verifies the Lemma 3.1 lower bound for a token that just
 // exited: it was the a-th token to exit on Y_i, so its knowledge must
 // contain at least w*(a-1) + i + 1 tokens.

@@ -281,10 +281,9 @@ func (n *Network) counter(id topo.NodeID) {
 // conflict is part of the token's causal story (a dedup racing the
 // original is how a faulty network shows up in a witness trace), so it
 // gets its own span parented on the duplicate's last hop. The event is
-// recorded under obs.NodeProc, not the token's proc: the live copy of the
-// token is still being recorded downstream under its proc, concurrently
-// with this node, and a processor identity may have only one writer at a
-// time.
+// recorded under obs.NodeProc, not the token's proc: it is the node's
+// doing, not a hop of the token's journey, so analyses such as tracetool
+// keep it out of the journey the live copy is still recording downstream.
 func (n *Network) recordDedup(id topo.NodeID, t token) {
 	o := n.obs
 	if o == nil || o.tr == nil {

@@ -66,8 +66,9 @@ func BenchmarkSpanStampRing(b *testing.B) {
 	}
 }
 
-// BenchmarkFlightRecord measures the mutex-guarded flight-recorder shard
-// write (uncontended, as on the single-writer-per-processor hot path).
+// BenchmarkFlightRecord measures a flight-recorder write, which is a
+// Ring write (uncontended, as when each processor records into its own
+// shard).
 func BenchmarkFlightRecord(b *testing.B) {
 	f := NewFlight(Meta{Engine: "bench", Unit: "ns"}, 1, 1<<10)
 	ev := Event{Kind: KindBalancer, P: 0, Tok: 7, Node: 2, Value: -1}

@@ -3,100 +3,28 @@ package obs
 import (
 	"io"
 	"os"
-	"sort"
 	"sync"
 )
 
-// Flight is a bounded-memory flight recorder: a per-processor ring of the
-// most recent causally stamped events that can be snapshotted while the
-// run is still in motion, then dumped as a causally closed JSONL slice
-// the first time something goes wrong — a lincheck violation, a fault
-// plan's liveness valve forcing a delivery through, or a panic. Unlike
-// Ring (whose Events contract requires quiescence), every Flight shard is
-// mutex-guarded, so a dump taken mid-flight is race-free; the lock is
-// uncontended on the hot path because each processor still writes only
-// its own shard.
+// Flight is a bounded-memory flight recorder: a Ring of the most recent
+// causally stamped events, snapshotted while the run is still in motion
+// and dumped as a causally closed JSONL slice the first time something
+// goes wrong — a lincheck violation, a fault plan's liveness valve
+// forcing a delivery through, or a panic.
 type Flight struct {
-	shards []flightShard
-	meta   Meta
+	*Ring
+	meta Meta
 
 	mu      sync.Mutex
 	auto    string // SetAutoDump destination; "" disables Trip dumps
 	tripped string // reason of the first Trip, "" until then
 }
 
-// flightShard is one processor's guarded window of recent events.
-type flightShard struct {
-	mu  sync.Mutex
-	buf []Event
-	n   int64 // total events recorded (monotone; may exceed len(buf))
-	_   [32]byte
-}
-
 // NewFlight returns a recorder with one shard per processor id in
 // [0, procs) holding the last perProc events each. meta describes the run
 // and is written into every dump.
 func NewFlight(meta Meta, procs, perProc int) *Flight {
-	if procs < 1 {
-		procs = 1
-	}
-	if perProc < 1 {
-		perProc = 1
-	}
-	f := &Flight{shards: make([]flightShard, procs), meta: meta}
-	for i := range f.shards {
-		f.shards[i].buf = make([]Event, perProc)
-	}
-	return f
-}
-
-// Record implements Tracer. Out-of-range P folds onto a shard by modulus,
-// like Ring.
-func (f *Flight) Record(ev Event) {
-	p := int(ev.P)
-	if p < 0 {
-		p = -p
-	}
-	s := &f.shards[p%len(f.shards)]
-	s.mu.Lock()
-	s.buf[s.n%int64(len(s.buf))] = ev
-	s.n++
-	s.mu.Unlock()
-}
-
-// Snapshot returns the retained window of every shard, causally closed
-// (ancestor chains cut by ring wraparound are dropped) and merged in span
-// order so the dump reads as a happens-before story. Safe to call while
-// other goroutines keep recording.
-func (f *Flight) Snapshot() (events []Event, orphans int) {
-	var all []Event
-	for i := range f.shards {
-		s := &f.shards[i]
-		s.mu.Lock()
-		c := int64(len(s.buf))
-		start := int64(0)
-		if s.n > c {
-			start = s.n - c
-		}
-		for seq := start; seq < s.n; seq++ {
-			all = append(all, s.buf[seq%c])
-		}
-		s.mu.Unlock()
-	}
-	sortEvents(all)
-	return CausalClosure(all)
-}
-
-// sortEvents orders a merged snapshot deterministically: by span id when
-// both events carry one (causal order), by timestamp otherwise.
-func sortEvents(events []Event) {
-	sort.SliceStable(events, func(i, j int) bool {
-		a, b := events[i], events[j]
-		if a.Span != 0 && b.Span != 0 {
-			return a.Span < b.Span
-		}
-		return a.T < b.T
-	})
+	return &Flight{Ring: NewRing(procs, perProc), meta: meta}
 }
 
 // Dump writes the current snapshot as JSONL, with reason recorded in the

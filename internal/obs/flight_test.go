@@ -117,7 +117,7 @@ func TestFlightRecoverDump(t *testing.T) {
 }
 
 // TestFlightSnapshotDuringRecording snapshots while writers are live —
-// the property Ring cannot offer and Flight exists for. Run under -race.
+// the property a black box needs. Run under -race.
 func TestFlightSnapshotDuringRecording(t *testing.T) {
 	const procs = 4
 	f := NewFlight(Meta{}, procs, 64)

@@ -1,6 +1,6 @@
 // Package obs is the shared observability layer of the three execution
 // engines (internal/sim, internal/shm, internal/msgnet): a low-overhead
-// structured-event tracer with a lock-free per-processor ring recorder, an
+// structured-event tracer with a lock-sharded per-processor ring recorder, an
 // online metrics registry (counters, gauges, min/max trackers, log-bucketed
 // latency histograms, and a live (Tog+W)/Tog estimator), and exporters to
 // JSON Lines and the Chrome trace_event format so any run opens directly in

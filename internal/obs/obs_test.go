@@ -91,8 +91,9 @@ func TestRingWraparoundKeepsNewest(t *testing.T) {
 	}
 }
 
-// TestRingConcurrent exercises the single-writer-per-processor contract
-// under the race detector.
+// TestRingConcurrent records from one goroutine per processor id under
+// the race detector and checks the merged view is complete and in time
+// order.
 func TestRingConcurrent(t *testing.T) {
 	const procs, events = 8, 1000
 	r := NewRing(procs, events)

@@ -3,45 +3,37 @@ package obs
 import (
 	"sort"
 	"sync"
-	"sync/atomic"
 )
 
 // NodeProc is the processor identity of an event a network node records
 // on its own behalf rather than as a hop of a token's journey — a
-// suppressed duplicate delivery, say. No token runs under it, so such an
-// event can never tear a token's shard; Ring files it, like any negative
-// identity, in a shared lock-guarded shard.
+// suppressed duplicate delivery, say. No token runs under it, so analyses
+// keep such events out of every token's journey; Ring files it, like any
+// negative identity, in its own last shard.
 const NodeProc int32 = -1
 
-// ringShard is one processor's private event buffer. Only the owning
-// processor writes buf and n; the count is published atomically so Len can
-// be sampled live, but slot contents are only safe to read once the run has
-// quiesced (e.g. after the workers' WaitGroup).
+// ringShard is one processor's window of recent events. Its lock is
+// taken once per event; on the hot path it is uncontended, because each
+// processor records into its own shard, and it is what makes concurrent
+// writers and mid-run readers safe.
 type ringShard struct {
-	buf   []Event
-	n     atomic.Int64 // total events recorded (monotone; may exceed len(buf))
-	owner shardOwner   // race builds: panics on a second concurrent writer
-	_     [40]byte     // keep shards off each other's cache lines
+	mu   sync.Mutex
+	buf  []Event
+	n    int64    // total events recorded (monotone; may exceed len(buf))
+	next int      // n mod len(buf), the slot the next event goes to
+	_    [16]byte // keep shards off each other's cache lines
 }
 
-// put appends ev, overwriting the oldest event once the shard is full.
-func (s *ringShard) put(ev Event) {
-	n := s.n.Load()
-	s.buf[n%int64(len(s.buf))] = ev
-	s.n.Store(n + 1)
-}
-
-// Ring is a lock-free per-processor ring-buffer recorder: each processor id
-// maps to its own shard, so Record is a single bounds check, a slot write,
-// and an atomic publish — no locks, no allocation, no sharing between
-// processors. When a shard fills, the oldest events of that shard are
-// overwritten (the newest window survives, which is the part a violation
-// witness needs).
+// Ring is a per-processor ring-buffer recorder: each processor id maps to
+// its own lock-guarded shard, so Record is one uncontended lock, a slot
+// write and no allocation. When a shard fills, the oldest events of that
+// shard are overwritten (the newest window survives, which is the part a
+// violation witness needs). Every method is safe to call while other
+// goroutines keep recording.
 type Ring struct {
 	// shards holds one shard per processor id, then the node shard that
 	// takes every event with a negative P.
 	shards []ringShard
-	nodeMu sync.Mutex // serializes the node shard's writers
 }
 
 // NewRing returns a recorder with one shard per processor id in [0, procs)
@@ -60,84 +52,91 @@ func NewRing(procs, perProc int) *Ring {
 	return r
 }
 
-// Record implements Tracer. Each processor id must have one writer at a
-// time: events with P >= procs fold onto a shard by modulus, and then
-// correctness relies on that single-writer contract. Events with a
-// negative P (NodeProc) go to the node shard, whose writers take a lock.
+// Record implements Tracer. Events with P >= procs fold onto a shard by
+// modulus; events with a negative P (NodeProc) go to the node shard.
 func (r *Ring) Record(ev Event) {
 	procs := len(r.shards) - 1
-	if ev.P < 0 {
-		r.nodeMu.Lock()
-		r.shards[procs].put(ev)
-		r.nodeMu.Unlock()
-		return
+	i := int(ev.P)
+	if i < 0 {
+		i = procs
+	} else if i >= procs {
+		i %= procs
 	}
-	s := &r.shards[int(ev.P)%procs]
-	s.owner.acquire()
-	s.put(ev)
-	s.owner.release()
+	s := &r.shards[i]
+	s.mu.Lock()
+	s.buf[s.next] = ev
+	if s.next++; s.next == len(s.buf) {
+		s.next = 0
+	}
+	s.n++
+	s.mu.Unlock()
+}
+
+// counts returns the retained and overwritten event totals of all shards.
+func (r *Ring) counts() (kept int, over int64) {
+	for i := range r.shards {
+		s := &r.shards[i]
+		s.mu.Lock()
+		n, c := s.n, int64(len(s.buf))
+		s.mu.Unlock()
+		if n > c {
+			over += n - c
+			n = c
+		}
+		kept += int(n)
+	}
+	return kept, over
 }
 
 // Len returns the number of events currently retained across all shards.
 func (r *Ring) Len() int {
-	total := 0
-	for i := range r.shards {
-		n := r.shards[i].n.Load()
-		if c := int64(len(r.shards[i].buf)); n > c {
-			n = c
-		}
-		total += int(n)
-	}
-	return total
+	kept, _ := r.counts()
+	return kept
 }
 
 // Overwritten returns how many events were lost to ring wraparound.
 func (r *Ring) Overwritten() int64 {
-	var total int64
+	_, over := r.counts()
+	return over
+}
+
+// collect returns the retained window of every shard, shard by shard and
+// oldest first within a shard, each shard read under its lock.
+func (r *Ring) collect() []Event {
+	var all []Event
 	for i := range r.shards {
-		n := r.shards[i].n.Load()
-		if over := n - int64(len(r.shards[i].buf)); over > 0 {
-			total += over
+		s := &r.shards[i]
+		s.mu.Lock()
+		if s.n > int64(s.next) { // the shard has filled: buf[next:] is older
+			all = append(all, s.buf[s.next:]...)
 		}
+		all = append(all, s.buf[:s.next]...)
+		s.mu.Unlock()
 	}
-	return total
+	return all
 }
 
 // Events returns the retained events of all shards merged into one slice
 // sorted by timestamp (ties broken by shard then recording order, so the
-// result is deterministic). It must only be called after the traced run has
-// quiesced — concurrent Record calls race with it.
+// result is deterministic).
 func (r *Ring) Events() []Event {
-	type tagged struct {
-		ev    Event
-		shard int
-		seq   int64
-	}
-	var all []tagged
-	for i := range r.shards {
-		s := &r.shards[i]
-		n := s.n.Load()
-		c := int64(len(s.buf))
-		start := int64(0)
-		if n > c {
-			start = n - c
+	all := r.collect()
+	sort.SliceStable(all, func(i, j int) bool { return all[i].T < all[j].T })
+	return all
+}
+
+// Snapshot returns the retained events, causally closed (ancestor chains
+// cut by ring wraparound are dropped) and merged in span order so the
+// result reads as a happens-before story: by span id when both events
+// carry one, by timestamp otherwise.
+func (r *Ring) Snapshot() (events []Event, orphans int) {
+	all := r.collect()
+	sort.SliceStable(all, func(i, j int) bool {
+		a, b := all[i], all[j]
+		if a.Span != 0 && b.Span != 0 {
+			return a.Span < b.Span
 		}
-		for seq := start; seq < n; seq++ {
-			all = append(all, tagged{ev: s.buf[seq%c], shard: i, seq: seq})
-		}
-	}
-	sort.Slice(all, func(i, j int) bool {
-		if all[i].ev.T != all[j].ev.T {
-			return all[i].ev.T < all[j].ev.T
-		}
-		if all[i].shard != all[j].shard {
-			return all[i].shard < all[j].shard
-		}
-		return all[i].seq < all[j].seq
+		return a.T < b.T
 	})
-	out := make([]Event, len(all))
-	for i, t := range all {
-		out[i] = t.ev
-	}
-	return out
+	return CausalClosure(all)
 }

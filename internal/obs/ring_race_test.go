@@ -7,10 +7,10 @@ import (
 )
 
 // TestRingOverwrittenUnderContention pins the wraparound accounting while
-// writers on every shard race live Len/Overwritten readers: both counters
-// are served from the shards' atomically published counts, so sampling
-// them mid-run must be race-free (this test is part of the CI race
-// matrix) and monotone, and the final figures must be exact.
+// writers on every shard race a live reader: Len, Overwritten, Events and
+// Snapshot all read the shards under their locks, so calling them mid-run
+// must be race-free (this test is part of the CI race matrix), the counts
+// must be monotone, and the final figures must be exact.
 func TestRingOverwrittenUnderContention(t *testing.T) {
 	const procs, perProc, events = 8, 128, 2000
 	r := NewRing(procs, perProc)
@@ -26,8 +26,8 @@ func TestRingOverwrittenUnderContention(t *testing.T) {
 		}(p)
 	}
 	// Concurrent observer: Len and Overwritten must never regress while
-	// the writers run (each shard's count is monotone and published
-	// atomically).
+	// the writers run (each shard's count is monotone), and the merged
+	// views must never hold more than the shards can retain.
 	readerDone := make(chan struct{})
 	go func() {
 		defer close(readerDone)
@@ -44,6 +44,14 @@ func TestRingOverwrittenUnderContention(t *testing.T) {
 				return
 			} else {
 				lastOver = o
+			}
+			if n := len(r.Events()); n > procs*perProc {
+				t.Errorf("Events returned %d mid-run, more than the %d retainable", n, procs*perProc)
+				return
+			}
+			if evs, _ := r.Snapshot(); len(evs) > procs*perProc {
+				t.Errorf("Snapshot returned %d mid-run, more than the %d retainable", len(evs), procs*perProc)
+				return
 			}
 		}
 	}()
@@ -93,27 +101,39 @@ func TestRingFoldedShardsAccounting(t *testing.T) {
 	}
 }
 
-// TestRingNodeShardConcurrentWriters checks the node shard's contract:
-// any number of goroutines may record under NodeProc at once (this test
-// is part of the CI race matrix), and every event is counted.
+// TestRingNodeShardConcurrentWriters checks that any number of goroutines
+// may record under one processor id at once — the node shard (NodeProc)
+// and a processor shard alike (this test is part of the CI race matrix) —
+// and that every event is counted, including the ones wraparound drops.
 func TestRingNodeShardConcurrentWriters(t *testing.T) {
-	const writers, events = 8, 200
-	r := NewRing(2, writers*events)
+	const writers, events, perProc = 8, 200, 1000
+	r := NewRing(2, perProc)
 	var wg sync.WaitGroup
 	for w := 0; w < writers; w++ {
-		wg.Add(1)
+		wg.Add(2)
 		go func(w int) {
 			defer wg.Done()
 			for i := 0; i < events; i++ {
 				r.Record(Event{T: int64(i), P: NodeProc, Tok: int32(w), Kind: KindDedup})
 			}
 		}(w)
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; i < events; i++ {
+				r.Record(Event{T: int64(i), P: 1, Tok: int32(w), Kind: KindBalancer})
+			}
+		}(w)
 	}
 	wg.Wait()
-	if got := r.Len(); got != writers*events {
-		t.Fatalf("Len = %d, want %d", got, writers*events)
+	// Each of the two shards took writers*events = 1600 events and keeps
+	// the newest perProc of them.
+	if got, want := r.Len(), 2*perProc; got != want {
+		t.Fatalf("Len = %d, want %d", got, want)
 	}
-	if got := len(r.Events()); got != writers*events {
-		t.Fatalf("Events returned %d, want %d", got, writers*events)
+	if got, want := r.Overwritten(), int64(2*(writers*events-perProc)); got != want {
+		t.Fatalf("Overwritten = %d, want %d", got, want)
+	}
+	if got, want := len(r.Events()), 2*perProc; got != want {
+		t.Fatalf("Events returned %d, want %d", got, want)
 	}
 }

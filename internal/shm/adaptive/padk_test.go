@@ -73,3 +73,31 @@ func TestPickNetFallbackPadK(t *testing.T) {
 		}
 	}
 }
+
+// TestPickNetPadsWithBaseKind checks that a padded variant is compiled
+// with the toggle kind of the network the counter was built over, so a
+// mutex or atomic base network never silently gains MCS padded variants.
+func TestPickNetPadsWithBaseKind(t *testing.T) {
+	g, err := bitonic.New(4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, kind := range []shm.Kind{shm.KindAtomic, shm.KindMutex, shm.KindMCS} {
+		n, err := shm.Compile(g, shm.Options{Kind: kind})
+		if err != nil {
+			t.Fatal(err)
+		}
+		c, err := New(n, Options{Linearizable: true, EffWait: 3000})
+		if err != nil {
+			t.Fatal(err)
+		}
+		c.Ratio().Observe(1000) // the estimate calls for k = 4
+		p, k := c.pickNet(ModeNetwork)
+		if k != 4 || p == n {
+			t.Fatalf("%v: pickNet = (%p, %d), want a padded variant with k = 4", kind, p, k)
+		}
+		if p.Kind() != kind {
+			t.Fatalf("padded variant compiled as %v, want the base network's %v", p.Kind(), kind)
+		}
+	}
+}

@@ -1,11 +1,14 @@
-// Package backoff provides the shared waiting primitives of the
+// Package backoff provides shared waiting primitives of the
 // shared-memory runtime: an exponential spin-then-yield-then-sleep
-// backoff for slots and locks that poll under contention, and a
-// precision pause used by the stress driver to inject the paper's
-// per-node W delays. Centralizing them keeps every busy-wait in the
-// runtime on the same escalation policy, which matters on small
-// machines where a spinning goroutine steals the quantum from the very
-// goroutine it is waiting on.
+// backoff for waits that may last long (the adaptive counter's epoch
+// gate and drain, the linearizable filter's turn wait), and a precision
+// pause used by the stress driver and msgnet's fault layer to inject
+// delays. Escalating to sleep matters on small machines, where a
+// spinning goroutine steals the quantum from the very goroutine it is
+// waiting on. Not every busy-wait uses it: the MCS lock's
+// Acquire/Release and the queue's Enqueue/Dequeue slot waits run their
+// own spin loops, which yield with runtime.Gosched every 64 spins and
+// never sleep.
 package backoff
 
 import (

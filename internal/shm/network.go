@@ -121,6 +121,9 @@ func Compile(g *topo.Graph, opts Options) (*Network, error) {
 // Graph returns the compiled topology.
 func (n *Network) Graph() *topo.Graph { return n.g }
 
+// Kind returns the toggle implementation the network was compiled with.
+func (n *Network) Kind() Kind { return n.kind }
+
 // InWidth returns the number of network inputs.
 func (n *Network) InWidth() int { return len(n.entry) }
 

@@ -50,9 +50,6 @@ func (s *Stepper) SetObserver(fn EventFunc) { s.onEvent = fn }
 // Must be called before the first Inject.
 func (s *Stepper) TrackPaths() { s.track = true }
 
-// NumTokens returns how many tokens have been injected.
-func (s *Stepper) NumTokens() int { return len(s.pos) }
-
 // Inject admits a new token at network input port `input` and returns the
 // token id. The token waits at the input node; it transitions on Step.
 func (s *Stepper) Inject(input int) int {
